@@ -114,14 +114,12 @@ void BM_BlockFloatAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockFloatAdd);
 
-// Whole-chip pass (48-slot i-block against a populated j-memory) in
-// scalar vs batched pipeline mode. The items/s ratio between the two rows
-// is the fast-path speedup gated by scripts/bench_regress.py.
+// Whole-chip pass (48-slot i-block against a populated j-memory). Its
+// items/s is the chip-pass interaction rate gated by
+// scripts/bench_regress.py.
 void BM_ChipPass(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
-  const std::size_t n_j = static_cast<std::size_t>(state.range(1));
-  MachineConfig mc;
-  mc.pipeline_mode = batched ? PipelineMode::kBatched : PipelineMode::kScalar;
+  const std::size_t n_j = static_cast<std::size_t>(state.range(0));
+  const MachineConfig mc;
   const NumberFormats fmt;
   Chip chip(mc, fmt);
   Rng rng(7);
@@ -151,10 +149,7 @@ void BM_ChipPass(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n_j * iblock.size()));
 }
-BENCHMARK(BM_ChipPass)
-    ->Args({0, 512})
-    ->Args({1, 512})
-    ->ArgNames({"batched", "nj"});
+BENCHMARK(BM_ChipPass)->Arg(512)->ArgName("nj");
 
 void BM_OctreeBuild(benchmark::State& state) {
   Rng rng(1);

@@ -99,9 +99,9 @@ def compare_peak(base: dict, fresh: dict, cmp: Comparison) -> None:
         if "items_per_second" in b and "items_per_second" in f:
             cmp.rate(f"{name}.items_per_second",
                      b["items_per_second"], f["items_per_second"])
-    # Derived fast-path headline numbers (snapshot_peak_bench.derive_
-    # speedups): rate-like, a drop beyond tolerance means the batched
-    # pipeline lost its uplift.
+    # Derived headline numbers (snapshot_peak_bench.derive_speedups):
+    # rate-like, a drop beyond tolerance means the chip-pass kernel
+    # slowed down.
     fresh_speedups = fresh.get("speedups", {})
     for name, b in sorted(base.get("speedups", {}).items()):
         f = fresh_speedups.get(name)

@@ -2,12 +2,11 @@
 """Refresh BENCH_peak.json from bench/peak_and_kernels.
 
 Runs the google-benchmark micro-kernel suite (quantize, pipeline
-interaction, predictor, BFP add, chip pass scalar vs batched, octree,
-direct block force) and distills its JSON output into a small committed
-snapshot at the repo root, the peak/kernels counterpart of
-scripts/snapshot_serve_bench.py. A derived `speedups` section records
-the scalar-vs-batched chip-pass ratio and the batched interactions/s so
-the fast path's uplift is a first-class gated number (rate-compared by
+interaction, predictor, BFP add, chip pass, octree, direct block force)
+and distills its JSON output into a small committed snapshot at the repo
+root, the peak/kernels counterpart of scripts/snapshot_serve_bench.py. A
+derived `speedups` section records the chip-pass interactions/s so the
+kernel's rate is a first-class gated number (rate-compared by
 scripts/bench_regress.py), not something reviewers re-derive from rows.
 
 Usage (from the repo root, after building):
@@ -49,20 +48,15 @@ def distill(raw: dict) -> dict:
     return out
 
 
-CHIP_PASS_SCALAR = "BM_ChipPass/batched:0/nj:512"
-CHIP_PASS_BATCHED = "BM_ChipPass/batched:1/nj:512"
+CHIP_PASS = "BM_ChipPass/nj:512"
 
 
 def derive_speedups(benchmarks: dict) -> dict:
-    """Headline fast-path numbers derived from the chip-pass rows."""
+    """Headline kernel number derived from the chip-pass row."""
     out = {}
-    scalar = benchmarks.get(CHIP_PASS_SCALAR, {})
-    batched = benchmarks.get(CHIP_PASS_BATCHED, {})
-    if "items_per_second" in batched:
-        out["chip_pass_batched_interactions_per_s"] = batched["items_per_second"]
-    if "items_per_second" in scalar and "items_per_second" in batched:
-        out["chip_pass_batched_vs_scalar"] = (
-            batched["items_per_second"] / scalar["items_per_second"])
+    chip_pass = benchmarks.get(CHIP_PASS, {})
+    if "items_per_second" in chip_pass:
+        out["chip_pass_batched_interactions_per_s"] = chip_pass["items_per_second"]
     return out
 
 

@@ -1,83 +1,11 @@
 #include "grape/chip.hpp"
 
 #include <algorithm>
-#include <sstream>
-#include <vector>
 
 #include "fault/injector.hpp"
-#include "obs/metrics.hpp"
 #include "util/check.hpp"
 
 namespace g6 {
-
-namespace {
-
-/// Bitwise comparison of one accumulator word pair for check mode.
-void require_word_equal(const BlockFloatAccumulator& ref,
-                        const BlockFloatAccumulator& alt, const char* name,
-                        std::size_t slot) {
-  if (ref.mantissa() == alt.mantissa() && ref.overflow() == alt.overflow() &&
-      ref.block_exp() == alt.block_exp()) {
-    return;
-  }
-  std::ostringstream os;
-  os << "pipeline check mode: scalar/batched divergence in " << name
-     << " word of i-slot " << slot << ": mantissa " << ref.mantissa() << " vs "
-     << alt.mantissa() << ", overflow " << ref.overflow() << " vs "
-     << alt.overflow();
-  G6_REQUIRE_MSG(false, os.str());
-}
-
-void require_pass_equal(std::span<const HwAccumulators> ref,
-                        std::span<const HwAccumulators> alt,
-                        std::span<const HwNeighborRecorder> ref_nb,
-                        std::span<const HwNeighborRecorder> alt_nb) {
-  for (std::size_t k = 0; k < ref.size(); ++k) {
-    for (int d = 0; d < 3; ++d) {
-      require_word_equal(ref[k].acc[d], alt[k].acc[d], "acc", k);
-      require_word_equal(ref[k].jerk[d], alt[k].jerk[d], "jerk", k);
-    }
-    require_word_equal(ref[k].pot, alt[k].pot, "pot", k);
-  }
-  for (std::size_t k = 0; k < ref_nb.size(); ++k) {
-    const HwNeighborRecorder& r = ref_nb[k];
-    const HwNeighborRecorder& a = alt_nb[k];
-    G6_REQUIRE_MSG(r.indices == a.indices && r.overflow == a.overflow,
-                   "pipeline check mode: scalar/batched neighbor list divergence");
-    G6_REQUIRE_MSG(r.has_nearest == a.has_nearest && r.nearest == a.nearest &&
-                       r.nearest_r2 == a.nearest_r2,
-                   "pipeline check mode: scalar/batched nearest-neighbor divergence");
-  }
-}
-
-}  // namespace
-
-void Chip::run_pass_scalar(double t, std::span<const IParticlePacket> iblock,
-                           double eps2, std::span<HwAccumulators> out,
-                           std::span<HwNeighborRecorder> neighbors) {
-  for (std::size_t slot = 0; slot < memory_.size(); ++slot) {
-    const StoredJParticle j = memory_.get(slot);
-    const PredictorUnit::Predicted pj = predictor_.predict(j, t);
-    for (std::size_t k = 0; k < iblock.size(); ++k) {
-      pipeline_.interact(pj, iblock[k], eps2, out[k],
-                         neighbors.empty() ? nullptr : &neighbors[k]);
-    }
-  }
-}
-
-void Chip::run_pass_batched(double t, std::span<const IParticlePacket> iblock,
-                            double eps2, std::span<HwAccumulators> out,
-                            std::span<HwNeighborRecorder> neighbors) {
-  // Pass-local scratch, reused across passes on the same thread. One
-  // predict over the whole j-memory, then each i-slot streams the batch
-  // in a flat loop (ascending j, as the scalar path iterates).
-  static thread_local PredictorUnit::PredictedBatch batch;
-  predictor_.predict_batch(memory_, t, batch);
-  for (std::size_t k = 0; k < iblock.size(); ++k) {
-    pipeline_.interact_batch(batch, iblock[k], eps2, out[k],
-                             neighbors.empty() ? nullptr : &neighbors[k]);
-  }
-}
 
 std::uint64_t Chip::run_pass(double t, std::span<const IParticlePacket> iblock,
                              double eps2, std::span<HwAccumulators> out,
@@ -92,44 +20,19 @@ std::uint64_t Chip::run_pass(double t, std::span<const IParticlePacket> iblock,
     nb.capacity = std::min(nb.capacity, mc_.neighbor_buffer_per_chip);
   }
 
-  static obs::Counter& c_scalar =
-      obs::MetricsRegistry::global().counter("grape.chip_passes.scalar");
-  static obs::Counter& c_batched =
-      obs::MetricsRegistry::global().counter("grape.chip_passes.batched");
-  static obs::Counter& c_check =
-      obs::MetricsRegistry::global().counter("grape.chip_passes.check");
-
-  switch (mc_.pipeline_mode) {
-    case PipelineMode::kScalar:
-      run_pass_scalar(t, iblock, eps2, out, neighbors);
-      c_scalar.add(1);
-      break;
-    case PipelineMode::kBatched:
-      run_pass_batched(t, iblock, eps2, out, neighbors);
-      c_batched.add(1);
-      break;
-    case PipelineMode::kCheck: {
-      // Run both paths from the same reset state (out/neighbors arrive
-      // reset by the caller, so copies capture the block exponents and
-      // FIFO depths) and require exact agreement on every result word.
-      // The scalar result is what the pass returns.
-      std::vector<HwAccumulators> alt(out.begin(), out.end());
-      std::vector<HwNeighborRecorder> alt_nb(neighbors.begin(), neighbors.end());
-      run_pass_scalar(t, iblock, eps2, out, neighbors);
-      run_pass_batched(t, iblock, eps2, alt,
-                       alt_nb.empty() ? std::span<HwNeighborRecorder>{}
-                                      : std::span<HwNeighborRecorder>(alt_nb));
-      require_pass_equal(out, alt, neighbors, alt_nb);
-      c_check.add(1);
-      break;
-    }
+  // Pass-local scratch, reused across passes on the same thread. One
+  // predict over the whole j-memory, then each i-slot streams the batch
+  // in ascending j.
+  static thread_local PredictorUnit::PredictedBatch batch;
+  predictor_.predict_batch(memory_, t, batch);
+  for (std::size_t k = 0; k < iblock.size(); ++k) {
+    pipeline_.interact_batch(batch, iblock[k], eps2, out[k],
+                             neighbors.empty() ? nullptr : &neighbors[k]);
   }
 
   // Output-register faults (stuck pipelines, hard-dead chips, transient
   // glitches) hit after accumulation, exactly where the real chip's
   // result registers sit. Empty chips contribute nothing and stay quiet.
-  // In check mode the comparison above runs pre-fault: both paths see
-  // identical accumulation, and faults land once, on the returned bank.
   if (fault_ != nullptr && !memory_.empty()) {
     fault_->apply_pass_faults(t, fault_chip_id_, out);
   }

@@ -89,13 +89,6 @@ class Chip {
   void set_memory(JStore m) { memory_ = std::move(m); }
 
  private:
-  void run_pass_scalar(double t, std::span<const IParticlePacket> iblock,
-                       double eps2, std::span<HwAccumulators> out,
-                       std::span<HwNeighborRecorder> neighbors);
-  void run_pass_batched(double t, std::span<const IParticlePacket> iblock,
-                        double eps2, std::span<HwAccumulators> out,
-                        std::span<HwNeighborRecorder> neighbors);
-
   MachineConfig mc_;
   PredictorUnit predictor_;
   ForcePipeline pipeline_;

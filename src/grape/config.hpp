@@ -16,21 +16,6 @@
 
 namespace g6 {
 
-/// Which evaluation path Chip::run_pass drives.
-enum class PipelineMode {
-  kScalar,   ///< operation-by-operation reference emulator
-  kBatched,  ///< SoA fast path; bit-identical to scalar (docs/FASTPATH.md)
-  kCheck,    ///< run both and require exact agreement on every result word
-};
-
-const char* to_string(PipelineMode m);
-
-/// Process-wide default: `$G6_PIPELINE` in {scalar, batched, check};
-/// batched when unset. An unrecognized value is a hard error — a typo
-/// silently falling back to a default would invalidate a benchmark or a
-/// cross-check run.
-PipelineMode default_pipeline_mode();
-
 struct MachineConfig {
   // --- chip microarchitecture (Sec 2.1, 3.4) ---------------------------
   std::size_t pipelines_per_chip = 6;   ///< physical force pipelines
@@ -45,9 +30,6 @@ struct MachineConfig {
   std::size_t boards_per_host = 4;
   std::size_t hosts_per_cluster = 4;
   std::size_t clusters = 1;
-
-  // --- emulation strategy (host-side, no hardware analogue) -------------
-  PipelineMode pipeline_mode = default_pipeline_mode();
 
   /// i-particles processed in parallel by one chip (48 on GRAPE-6).
   std::size_t i_parallelism() const { return pipelines_per_chip * vmp_ways; }

@@ -1,7 +1,9 @@
 #pragma once
 // The force-calculation pipeline (Fig 8) and the predictor pipeline of the
 // GRAPE-6 chip, emulated operation-by-operation in the hardware number
-// formats.
+// formats. Each unit has a batched form over the whole j-memory (the one
+// Chip::run_pass drives, pipeline_batched.cpp) and a scalar per-particle
+// form (pipeline.cpp) that tests use as its bit-exact reference.
 //
 // Dataflow per interaction (Eqs 1-3):
 //   dx      = x_j - x_i                  exact 64-bit fixed-point subtract
@@ -103,10 +105,13 @@ class PredictorUnit {
     Vec3 vel;
   };
 
+  /// Scalar reference: one stored j-particle. Chip::run_pass uses
+  /// predict_batch(); tests compare it against this, and
+  /// BM_PredictorPipeline times it.
   Predicted predict(const StoredJParticle& j, double t) const;
 
-  /// All stored j-particles predicted at once, column-wise — the batched
-  /// pipeline's input. Owns its scratch so a pass performs no allocations
+  /// All stored j-particles predicted at once, column-wise — the input
+  /// of interact_batch(). Owns its scratch so a pass performs no allocations
   /// after warm-up (resize keeps capacity).
   struct PredictedBatch {
     std::size_t count = 0;
@@ -144,17 +149,19 @@ class ForcePipeline {
   /// Accumulate the interaction of predicted j-particle `j` on i-particle
   /// `ip` into `out`. Skips the self-interaction by index compare. When
   /// `neighbors` is non-null the neighbor comparator runs alongside the
-  /// force datapath (no extra cycles, as in hardware).
+  /// force datapath (no extra cycles, as in hardware). Scalar reference:
+  /// Chip::run_pass uses interact_batch(); tests compare it against this,
+  /// and BM_PipelineInteraction times it.
   void interact(const PredictorUnit::Predicted& j, const IParticlePacket& ip,
                 double eps2, HwAccumulators& out,
                 HwNeighborRecorder* neighbors = nullptr) const;
 
-  /// Batched fast path: stream the whole predicted j-range past one
+  /// The chip pass's kernel: stream the whole predicted j-range past one
   /// i-particle in a single flat loop over the contiguous columns. The
   /// per-interaction operation sequence and the ascending-j accumulation
   /// order are exactly those of interact(), so the BFP accumulator words,
   /// overflow flags and neighbor lists are bit-identical to calling
-  /// interact() j-by-j (verified by tests/grape/pipeline_crosscheck_test).
+  /// interact() j-by-j (tests/grape/pipeline_crosscheck_test.cpp).
   void interact_batch(const PredictorUnit::PredictedBatch& j,
                       const IParticlePacket& ip, double eps2,
                       HwAccumulators& out,

@@ -1,10 +1,10 @@
-// Batched fast path of the predictor and force pipelines.
+// Batched predictor and force pipelines: the kernel of every chip pass.
 //
-// Same dataflow as pipeline.cpp, restructured from per-particle calls into
-// flat loops over the JStore / PredictedBatch columns. Bit-identity with
-// the scalar path is a hard contract (G6_PIPELINE=check and
-// tests/grape/pipeline_crosscheck_test enforce it), which constrains this
-// file in three ways:
+// Same dataflow as the scalar reference in pipeline.cpp, restructured from
+// per-particle calls into flat loops over the JStore / PredictedBatch
+// columns. Bit-identity with the scalar reference is a hard contract
+// (tests/grape/pipeline_crosscheck_test.cpp enforces it), which constrains
+// this file in three ways:
 //
 //  * every per-interaction operation sequence is copied from the scalar
 //    path verbatim — same ops, same association order, one rounding per

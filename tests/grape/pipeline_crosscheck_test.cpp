@@ -1,12 +1,12 @@
-// Scalar-vs-batched pipeline crosscheck: the batched fast path
-// (Chip::run_pass in PipelineMode::kBatched) must be BIT-IDENTICAL to the
-// scalar reference path on every observable hardware word — accumulator
+// Pipeline crosscheck: the batched kernel every chip pass runs
+// (Chip::run_pass -> predict_batch + interact_batch) must be BIT-IDENTICAL
+// to a reference pass built from the scalar PredictorUnit::predict and
+// ForcePipeline::interact on every observable hardware word — accumulator
 // mantissas, block exponents, overflow flags, neighbor FIFO contents and
 // order, and the nearest-neighbor register — for every number-format
-// preset, with and without neighbor collection, with a fault injector
-// attached, and at any thread count. This is the contract that lets the
-// fast path replace the scalar pipeline without invalidating a single
-// recorded snapshot.
+// preset, with and without neighbor collection, over a sweep of chip
+// shapes, and at any thread count. This is the contract that lets the
+// kernel change without invalidating a single recorded snapshot.
 //
 // Also verifies the FloatFormat::quantize fast bit-manipulation path
 // against quantize_ref(), its independently-derived libm oracle, over
@@ -15,16 +15,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
-#include "fault/injector.hpp"
-#include "fault/plan.hpp"
 #include "grape/chip.hpp"
 #include "grape/engine.hpp"
 #include "util/rng.hpp"
@@ -51,41 +50,68 @@ struct PassResult {
   std::vector<HwNeighborRecorder> nb;
 };
 
-/// One chip pass over `js` in the given pipeline mode; 48 i-particles are
-/// the first 48 j's (self-interaction cut exercises the index compare).
-PassResult run_chip_pass(PipelineMode mode, const NumberFormats& fmt,
-                         const std::vector<JParticle>& js, double t,
-                         double eps2, bool want_nb, double h2) {
-  MachineConfig mc;
-  mc.pipeline_mode = mode;
+/// Reference chip pass: the scalar predictor and force units, slot by slot
+/// in ascending order, with the same on-chip FIFO clamp Chip::run_pass
+/// applies.
+void reference_pass(const Chip& chip, const MachineConfig& mc,
+                    const NumberFormats& fmt, double t,
+                    std::span<const IParticlePacket> iblock, double eps2,
+                    PassResult& r) {
+  const PredictorUnit predictor(fmt);
+  const ForcePipeline pipeline(fmt);
+  for (auto& nb : r.nb) {
+    nb.capacity = std::min(nb.capacity, mc.neighbor_buffer_per_chip);
+  }
+  for (std::size_t slot = 0; slot < chip.j_count(); ++slot) {
+    const PredictorUnit::Predicted pj = predictor.predict(chip.stored(slot), t);
+    for (std::size_t k = 0; k < iblock.size(); ++k) {
+      pipeline.interact(pj, iblock[k], eps2, r.acc[k],
+                        r.nb.empty() ? nullptr : &r.nb[k]);
+    }
+  }
+}
+
+/// A freshly reset result bank; `fifo` == 0 collects no neighbors.
+PassResult reset_bank(std::size_t n_i, std::size_t fifo) {
+  PassResult r;
+  r.acc.resize(n_i);
+  for (auto& a : r.acc) a.reset({4, 8, 4});
+  r.nb.resize(fifo == 0 ? 0 : n_i);
+  for (auto& nb : r.nb) nb.reset(fifo);
+  return r;
+}
+
+struct PassPair {
+  PassResult kernel;
+  PassResult reference;
+};
+
+/// One chip loaded with the first `n_j` of `js` and an i-block of the
+/// first `n_i` of `js` (i-slots below n_j exercise the self-interaction
+/// cut), driven once through Chip::run_pass and once through
+/// reference_pass, each from its own reset bank.
+PassPair run_both(const MachineConfig& mc, const NumberFormats& fmt,
+                  const std::vector<JParticle>& js, std::size_t n_j,
+                  std::size_t n_i, double t, double eps2, std::size_t fifo,
+                  double h2) {
   Chip chip(mc, fmt);
-  chip.reserve_slots(js.size());
-  for (std::size_t i = 0; i < js.size(); ++i) {
-    chip.write(i, quantize_j_particle(js[i], static_cast<std::uint32_t>(i), fmt));
+  chip.reserve_slots(n_j);
+  for (std::size_t s = 0; s < n_j; ++s) {
+    chip.write(s, quantize_j_particle(js[s], static_cast<std::uint32_t>(s), fmt));
   }
   std::vector<IParticlePacket> iblock;
-  for (std::size_t i = 0; i < chip.i_parallelism() && i < js.size(); ++i) {
+  for (std::size_t k = 0; k < n_i; ++k) {
     PredictedState s;
-    s.index = static_cast<std::uint32_t>(i);
-    s.pos = js[i].pos;
-    s.vel = js[i].vel;
+    s.index = static_cast<std::uint32_t>(k);
+    s.pos = js[k].pos;
+    s.vel = js[k].vel;
     iblock.push_back(quantize_i_particle(s, fmt));
+    if (fifo != 0) iblock.back().h2 = h2;
   }
-  PassResult r;
-  r.acc.resize(iblock.size());
-  for (auto& a : r.acc) a.reset({4, 8, 4});
-  if (want_nb) {
-    r.nb.resize(iblock.size());
-    for (std::size_t k = 0; k < r.nb.size(); ++k) {
-      r.nb[k].reset(8);  // tiny FIFO: force overflow-flag coverage
-      r.nb[k].indices.reserve(8);
-    }
-    for (auto& p : iblock) p.h2 = h2;
-  }
-  chip.run_pass(t, iblock, eps2, r.acc,
-                want_nb ? std::span<HwNeighborRecorder>(r.nb)
-                        : std::span<HwNeighborRecorder>{});
-  return r;
+  PassPair p{reset_bank(n_i, fifo), reset_bank(n_i, fifo)};
+  chip.run_pass(t, iblock, eps2, p.kernel.acc, p.kernel.nb);
+  reference_pass(chip, mc, fmt, t, iblock, eps2, p.reference);
+  return p;
 }
 
 void expect_bit_identical(const PassResult& a, const PassResult& b) {
@@ -128,47 +154,52 @@ TEST(PipelineCrosscheck, BitIdenticalAcrossFormatsEpsAndNeighbors) {
         return f;
       }(),
   };
+  const MachineConfig mc;
   Rng rng(0xe952);
   for (const auto& fmt : presets) {
-    for (bool want_nb : {false, true}) {
+    for (std::size_t fifo : {0u, 8u}) {  // tiny FIFO: overflow-flag coverage
       const double eps2 = std::pow(10.0, rng.uniform(-6, -2));
-      const auto scalar = run_chip_pass(PipelineMode::kScalar, fmt, js, 0.125,
-                                        eps2, want_nb, 0.5);
-      const auto batched = run_chip_pass(PipelineMode::kBatched, fmt, js, 0.125,
-                                         eps2, want_nb, 0.5);
-      expect_bit_identical(scalar, batched);
+      const auto p = run_both(mc, fmt, js, js.size(), mc.i_parallelism(),
+                              0.125, eps2, fifo, 0.5);
+      expect_bit_identical(p.kernel, p.reference);
     }
   }
 }
 
-TEST(PipelineCrosscheck, CheckModeMatchesScalarAndSelfVerifies) {
-  // kCheck runs both paths and G6_REQUIREs agreement internally; its
-  // returned bank must equal the plain scalar pass.
-  const auto js = random_js(64, 42);
-  const auto scalar = run_chip_pass(PipelineMode::kScalar, NumberFormats{}, js,
-                                    0.25, 1e-4, true, 0.25);
-  const auto check = run_chip_pass(PipelineMode::kCheck, NumberFormats{}, js,
-                                   0.25, 1e-4, true, 0.25);
-  expect_bit_identical(scalar, check);
+TEST(PipelineCrosscheck, ShapeSweepMatchesReference) {
+  // Chip shapes around the kernel's loop and block boundaries: an empty
+  // and a nearly empty j-memory (a small served job spread over many
+  // chips leaves about one j-particle per chip), j counts either side of
+  // 32, partial and full i-blocks; prediction both at and past the stored
+  // block time; and a chip FIFO shallower than the host's recorders, deep
+  // enough neighbor lists to overflow it.
+  MachineConfig mc;
+  mc.neighbor_buffer_per_chip = 8;
+  const NumberFormats fmt;
+  auto js = random_js(512, 0x5a5e);
+  for (auto& p : js) p.t0 = 0.125;
+  bool overflowed = false;
+  for (std::size_t n_j : {0u, 1u, 2u, 31u, 32u, 33u, 96u, 512u}) {
+    for (std::size_t n_i : {1u, 7u, 47u, 48u}) {
+      for (double t : {0.125, 0.1875}) {
+        for (std::size_t fifo : {0u, 256u}) {
+          SCOPED_TRACE(::testing::Message() << "n_j=" << n_j << " n_i=" << n_i
+                                            << " t=" << t << " fifo=" << fifo);
+          const auto p = run_both(mc, fmt, js, n_j, n_i, t, 1e-4, fifo, 1.0);
+          expect_bit_identical(p.kernel, p.reference);
+          for (const auto& nb : p.kernel.nb) overflowed = overflowed || nb.overflow;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(overflowed);
 }
 
-/// Full-engine forces under a given pipeline mode and fault plan.
-std::vector<Force> run_engine(PipelineMode mode, const std::vector<JParticle>& js,
-                              bool with_faults,
-                              fault::FaultInjector::Counts* counts = nullptr) {
+/// Full-engine forces on a 2-board machine.
+std::vector<Force> run_engine(const std::vector<JParticle>& js) {
   MachineConfig mc;
   mc.boards_per_host = 2;
-  mc.pipeline_mode = mode;
   GrapeForceEngine hw(mc, NumberFormats{}, 0.01);
-  std::shared_ptr<fault::FaultInjector> inj;
-  if (with_faults) {
-    fault::FaultPlan plan;
-    plan.seed = 0x6701;
-    plan.jmem_flip_rate = 2e-3;
-    plan.ipacket_rate = 2e-3;
-    inj = std::make_shared<fault::FaultInjector>(plan);
-    hw.enable_fault_tolerance(inj);
-  }
   hw.load_particles(js);
   std::vector<PredictedState> block(js.size());
   for (std::size_t i = 0; i < js.size(); ++i) {
@@ -179,26 +210,7 @@ std::vector<Force> run_engine(PipelineMode mode, const std::vector<JParticle>& j
   std::vector<Force> f(js.size());
   hw.compute_forces(0.0, block, f);
   hw.compute_forces(0.0, block, f);  // steady-state exponents
-  if (counts && inj) *counts = inj->counts();
   return f;
-}
-
-TEST(PipelineCrosscheck, FaultInjectionStreamIndependentOfPipelineMode) {
-  // Same plan + seed: the injector's RNG stream walks j-memory slots in
-  // the same order on both paths, so the injected faults, the recovery
-  // actions, and the final forces are all identical.
-  const auto js = random_js(96, 7);
-  fault::FaultInjector::Counts cs, cb;
-  const auto fs = run_engine(PipelineMode::kScalar, js, true, &cs);
-  const auto fb = run_engine(PipelineMode::kBatched, js, true, &cb);
-  EXPECT_EQ(cs.jmem_flips, cb.jmem_flips);
-  EXPECT_EQ(cs.ipacket_corruptions, cb.ipacket_corruptions);
-  ASSERT_EQ(fs.size(), fb.size());
-  for (std::size_t i = 0; i < fs.size(); ++i) {
-    EXPECT_EQ(fs[i].acc, fb[i].acc) << i;
-    EXPECT_EQ(fs[i].jerk, fb[i].jerk) << i;
-    EXPECT_EQ(fs[i].pot, fb[i].pot) << i;
-  }
 }
 
 TEST(PipelineCrosscheck, BatchedBitIdenticalAcrossThreadCounts) {
@@ -209,7 +221,7 @@ TEST(PipelineCrosscheck, BatchedBitIdenticalAcrossThreadCounts) {
   std::vector<Force> ref;
   for (unsigned threads : {1u, 2u, 8u}) {
     exec::ThreadPool::set_global_threads(threads);
-    const auto f = run_engine(PipelineMode::kBatched, js, false);
+    const auto f = run_engine(js);
     if (ref.empty()) {
       ref = f;
       continue;

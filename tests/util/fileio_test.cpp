@@ -16,7 +16,12 @@ namespace fs = std::filesystem;
 class FileIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "g6_fileio_test";
+    // One directory per test: ctest runs each test as its own process in
+    // parallel, and a shared directory lets one test's TearDown delete
+    // another's files mid-test.
+    dir_ = fs::temp_directory_path() /
+           (std::string("g6_fileio_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
