@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "util/errors.hpp"
 #include "grape/engine.hpp"
@@ -118,8 +119,10 @@ TEST(GrapeEngineProps, RepeatedCallsAreDeterministic) {
   }
 }
 
+// A 64-bit width field leaves the struct without padding, so the gtest case
+// names (a dump of the parameter's bytes) are the same on every run.
 struct FormatCase {
-  int bits;
+  std::int64_t bits;
   double tol;
 };
 
@@ -136,7 +139,7 @@ TEST_P(PipelineWidthSweep, ForceErrorScalesWithWidth) {
   ref.compute_forces(0.0, block, fr);
 
   NumberFormats fmt;
-  fmt.pipeline = FloatFormat(bits, -126, 127);
+  fmt.pipeline = FloatFormat(static_cast<int>(bits), -126, 127);
   fmt.velocity = fmt.pipeline;
   GrapeForceEngine hw(one_board(), fmt, 0.01);
   hw.load_particles(js);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 namespace g6 {
 namespace {
@@ -91,8 +92,11 @@ TEST(FloatFormat, IeeeDoubleIsIdentityForNormalRange) {
   }
 }
 
+// A 64-bit width field leaves the struct without padding. gtest names each
+// case by dumping the parameter's bytes, and padding bytes hold whatever the
+// stack held, so the names would change from run to run.
 struct FormatCase {
-  int frac_bits;
+  std::int64_t frac_bits;
   double max_rel_err;
 };
 
@@ -100,7 +104,7 @@ class FormatSweep : public ::testing::TestWithParam<FormatCase> {};
 
 TEST_P(FormatSweep, ErrorScalesWithMantissa) {
   const auto p = GetParam();
-  const FloatFormat f(p.frac_bits, -126, 127);
+  const FloatFormat f(static_cast<int>(p.frac_bits), -126, 127);
   double worst = 0.0;
   double x = 1.0;
   for (int i = 0; i < 1000; ++i) {
