@@ -1,9 +1,7 @@
 #pragma once
 // The force-calculation pipeline (Fig 8) and the predictor pipeline of the
 // GRAPE-6 chip, emulated operation-by-operation in the hardware number
-// formats. Each unit has a batched form over the whole j-memory (the one
-// Chip::run_pass drives, pipeline_batched.cpp) and a scalar per-particle
-// form (pipeline.cpp) that tests use as its bit-exact reference.
+// formats (pipeline.cpp).
 //
 // Dataflow per interaction (Eqs 1-3):
 //   dx      = x_j - x_i                  exact 64-bit fixed-point subtract
@@ -12,6 +10,15 @@
 //   rinv    = rsqrt(r2), rinv2, m*rinv3  pipeline float
 //   acc,jerk,pot contributions           pipeline float
 //   accumulation                          block floating point, exact
+//
+// The op chain is written once, over the value type. Chip::run_pass drives
+// the two-stage kernel interact_batch(): stage 1 evaluates the chain for a
+// block of j-particles two at a time with LaneFormat's lane ops, which
+// defer the format's range check into a per-block flag; stage 2 makes the
+// neighbor records and BFP adds in ascending slot order. A block with a
+// flagged lane (a result that flushes, saturates, is inf or NaN, or a
+// negative r2) is recomputed slot by slot with the scalar instantiation,
+// interact(), which is also the reference tests compare the kernel against.
 //
 // The block floating-point accumulators make the total independent of the
 // order and partitioning of the sum (paper Sec 3.4) — the property tested
@@ -105,31 +112,27 @@ class PredictorUnit {
     Vec3 vel;
   };
 
-  /// Scalar reference: one stored j-particle. Chip::run_pass uses
-  /// predict_batch(); tests compare it against this, and
-  /// BM_PredictorPipeline times it.
+  /// One stored j-particle (BM_PredictorPipeline times it).
   Predicted predict(const StoredJParticle& j, double t) const;
 
-  /// All stored j-particles predicted at once, column-wise — the input
-  /// of interact_batch(). Owns its scratch so a pass performs no allocations
-  /// after warm-up (resize keeps capacity).
+  /// All stored j-particles predicted, column-wise — the input of
+  /// interact_batch(). Reused across passes, a batch performs no
+  /// allocations after warm-up (resize keeps capacity).
   struct PredictedBatch {
     std::size_t count = 0;
     std::vector<std::uint32_t> index;
     std::vector<double> mass;
     std::vector<std::int64_t> pos[3];
     std::vector<double> vel[3];
-    // predictor-internal scratch columns
-    std::vector<double> dt;
-    std::vector<double> c;
-    std::vector<double> u;
 
     void resize(std::size_t n);
+    /// Slot k gathered into / scattered from one predicted particle.
+    Predicted at(std::size_t k) const;
+    void set(std::size_t k, const Predicted& p);
   };
 
-  /// Batched predict: identical per-particle operation sequence to
-  /// predict(), evaluated as span sweeps over JStore columns
-  /// (hw/formats.hpp spanops). out[k] == predict(j.get(k), t) bit-exactly.
+  /// The whole j-memory, two slots at a time with the lane ops (the same
+  /// chain as predict()): out.at(k) == predict(j.get(k), t) bit-exactly.
   void predict_batch(const JStore& j, double t, PredictedBatch& out) const;
 
  private:
@@ -149,17 +152,16 @@ class ForcePipeline {
   /// Accumulate the interaction of predicted j-particle `j` on i-particle
   /// `ip` into `out`. Skips the self-interaction by index compare. When
   /// `neighbors` is non-null the neighbor comparator runs alongside the
-  /// force datapath (no extra cycles, as in hardware). Scalar reference:
-  /// Chip::run_pass uses interact_batch(); tests compare it against this,
-  /// and BM_PipelineInteraction times it.
+  /// force datapath (no extra cycles, as in hardware). The scalar form:
+  /// interact_batch()'s recompute path, the reference tests compare the
+  /// kernel against, and what BM_PipelineInteraction times.
   void interact(const PredictorUnit::Predicted& j, const IParticlePacket& ip,
                 double eps2, HwAccumulators& out,
                 HwNeighborRecorder* neighbors = nullptr) const;
 
   /// The chip pass's kernel: stream the whole predicted j-range past one
-  /// i-particle in a single flat loop over the contiguous columns. The
-  /// per-interaction operation sequence and the ascending-j accumulation
-  /// order are exactly those of interact(), so the BFP accumulator words,
+  /// i-particle, block by block — stage 1 on two j at a time, stage 2 in
+  /// ascending slot order (file comment). The BFP accumulator words,
   /// overflow flags and neighbor lists are bit-identical to calling
   /// interact() j-by-j (tests/grape/pipeline_crosscheck_test.cpp).
   void interact_batch(const PredictorUnit::PredictedBatch& j,

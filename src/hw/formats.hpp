@@ -9,7 +9,6 @@
 // can swap formats wholesale.
 
 #include <cstdint>
-#include <span>
 
 #include "hermite/types.hpp"
 #include "util/fixedpoint.hpp"
@@ -74,59 +73,5 @@ StoredJParticle quantize_j_particle(const JParticle& p, std::uint32_t index,
 
 /// Quantize a host-side predicted i-particle into the broadcast packet.
 IParticlePacket quantize_i_particle(const PredictedState& p, const NumberFormats& fmt);
-
-/// Correctly-rounded arithmetic units lifted to whole spans — the batched
-/// pipeline's building blocks. Each op applies the same FloatFormat
-/// operation the scalar emulator uses, element by element over contiguous
-/// arrays, so a span op is bit-identical to the corresponding scalar loop
-/// and the flat bodies autovectorize (quantize() is branch-light bit
-/// manipulation; no libm in the loop).
-///
-/// `out` may alias `a`/`b` (in-place chains are the common use).
-namespace spanops {
-
-/// out[k] = f.quantize(in[k])
-inline void quantize(const FloatFormat& f, std::span<const double> in,
-                     std::span<double> out) {
-  G6_ASSERT(in.size() == out.size());
-  for (std::size_t k = 0; k < in.size(); ++k) out[k] = f.quantize(in[k]);
-}
-
-/// out[k] = f.quantize(s - in[k])  (exact IEEE subtract, one rounding)
-inline void qsub_from(const FloatFormat& f, double s, std::span<const double> in,
-                      std::span<double> out) {
-  G6_ASSERT(in.size() == out.size());
-  for (std::size_t k = 0; k < in.size(); ++k) out[k] = f.quantize(s - in[k]);
-}
-
-/// out[k] = f.quantize(s * in[k])  (exact IEEE multiply, one rounding)
-inline void qscale(const FloatFormat& f, double s, std::span<const double> in,
-                   std::span<double> out) {
-  G6_ASSERT(in.size() == out.size());
-  for (std::size_t k = 0; k < in.size(); ++k) out[k] = f.quantize(s * in[k]);
-}
-
-/// out[k] = f.quantize(in[k] / s)  (exact IEEE divide, one rounding)
-inline void qdiv_by(const FloatFormat& f, std::span<const double> in, double s,
-                    std::span<double> out) {
-  G6_ASSERT(in.size() == out.size());
-  for (std::size_t k = 0; k < in.size(); ++k) out[k] = f.quantize(in[k] / s);
-}
-
-/// out[k] = f.add(a[k], b[k])
-inline void qadd(const FloatFormat& f, std::span<const double> a,
-                 std::span<const double> b, std::span<double> out) {
-  G6_ASSERT(a.size() == b.size() && a.size() == out.size());
-  for (std::size_t k = 0; k < a.size(); ++k) out[k] = f.add(a[k], b[k]);
-}
-
-/// out[k] = f.mul(a[k], b[k])
-inline void qmul(const FloatFormat& f, std::span<const double> a,
-                 std::span<const double> b, std::span<double> out) {
-  G6_ASSERT(a.size() == b.size() && a.size() == out.size());
-  for (std::size_t k = 0; k < a.size(); ++k) out[k] = f.mul(a[k], b[k]);
-}
-
-}  // namespace spanops
 
 }  // namespace g6

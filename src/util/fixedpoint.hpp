@@ -25,8 +25,22 @@
 #include <limits>
 
 #include "util/check.hpp"
+#include "util/softfloat.hpp"
 
 namespace g6 {
+
+/// Round to the nearest integer, ties to even: std::llrint in the default
+/// rounding mode, for |x| < 2^62, without the libm call. Below 2^52,
+/// adding and subtracting copysign(2^52, x) lands x on the integer grid
+/// with the FPU's own round-to-nearest-even; from 2^52 up every double is
+/// an integer already and the cast is exact.
+inline std::int64_t round_to_int64(double x) {
+  if (std::fabs(x) < 0x1p52) {
+    const double magic = std::copysign(0x1p52, x);
+    x = (x + magic) - magic;
+  }
+  return static_cast<std::int64_t>(x);
+}
 
 /// Encode/decode doubles to the 64-bit fixed-point coordinate word.
 ///
@@ -50,10 +64,11 @@ class FixedPointCodec {
     const double s = x * scale_;
     G6_REQUIRE_MSG(std::fabs(s) < std::ldexp(1.0, 62),
                    "coordinate outside fixed-point range");
-    return static_cast<std::int64_t>(std::llrint(s));
+    return round_to_int64(s);
   }
 
   double decode(std::int64_t q) const { return static_cast<double>(q) * inv_scale_; }
+  Lanes decode(LaneInts q) const { return __builtin_convertvector(q, Lanes) * inv_scale_; }
 
   /// Round-trip a double through the hardware grid.
   double quantize(double x) const { return decode(encode(x)); }
@@ -116,7 +131,7 @@ class BlockFloatAccumulator {
       overflow_ = true;
       return;
     }
-    const std::int64_t q = static_cast<std::int64_t>(std::llrint(scaled));
+    const std::int64_t q = round_to_int64(scaled);
     std::int64_t sum = 0;
     if (__builtin_add_overflow(mant_, q, &sum)) {
       overflow_ = true;

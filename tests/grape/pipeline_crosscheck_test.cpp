@@ -8,6 +8,14 @@
 // shapes, and at any thread count. This is the contract that lets the
 // kernel change without invalidating a single recorded snapshot.
 //
+// The kernel evaluates blocks of j two at a time with lane ops and
+// recomputes a block with the scalar ops when a lane leaves the format's
+// normal range; the corpus below drives both paths, their mix within one
+// accumulator, the r^2 = 0 clamp and the precondition errors. A committed
+// golden fixture (data/pipeline_golden.txt) pins the accumulator words and
+// neighbor lists themselves, so a change that moved the kernel and the
+// scalar reference together would still fail.
+//
 // Also verifies the FloatFormat::quantize fast bit-manipulation path
 // against quantize_ref(), its independently-derived libm oracle, over
 // structured and random bit patterns (the doc comment in util/softfloat.hpp
@@ -19,8 +27,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
@@ -86,19 +97,21 @@ struct PassPair {
   PassResult reference;
 };
 
-/// One chip loaded with the first `n_j` of `js` and an i-block of the
-/// first `n_i` of `js` (i-slots below n_j exercise the self-interaction
-/// cut), driven once through Chip::run_pass and once through
-/// reference_pass, each from its own reset bank.
-PassPair run_both(const MachineConfig& mc, const NumberFormats& fmt,
-                  const std::vector<JParticle>& js, std::size_t n_j,
-                  std::size_t n_i, double t, double eps2, std::size_t fifo,
-                  double h2) {
-  Chip chip(mc, fmt);
+/// `chip` loaded with the first `n_j` of `js`.
+void load_chip(Chip& chip, const NumberFormats& fmt,
+               const std::vector<JParticle>& js, std::size_t n_j) {
   chip.reserve_slots(n_j);
   for (std::size_t s = 0; s < n_j; ++s) {
     chip.write(s, quantize_j_particle(js[s], static_cast<std::uint32_t>(s), fmt));
   }
+}
+
+/// An i-block of the first `n_i` of `js` (i-slots below the chip's j
+/// count exercise the self-interaction cut).
+std::vector<IParticlePacket> make_iblock(const NumberFormats& fmt,
+                                         const std::vector<JParticle>& js,
+                                         std::size_t n_i, std::size_t fifo,
+                                         double h2) {
   std::vector<IParticlePacket> iblock;
   for (std::size_t k = 0; k < n_i; ++k) {
     PredictedState s;
@@ -108,6 +121,18 @@ PassPair run_both(const MachineConfig& mc, const NumberFormats& fmt,
     iblock.push_back(quantize_i_particle(s, fmt));
     if (fifo != 0) iblock.back().h2 = h2;
   }
+  return iblock;
+}
+
+/// One chip and i-block as above, driven once through Chip::run_pass and
+/// once through reference_pass, each from its own reset bank.
+PassPair run_both(const MachineConfig& mc, const NumberFormats& fmt,
+                  const std::vector<JParticle>& js, std::size_t n_j,
+                  std::size_t n_i, double t, double eps2, std::size_t fifo,
+                  double h2) {
+  Chip chip(mc, fmt);
+  load_chip(chip, fmt, js, n_j);
+  const auto iblock = make_iblock(fmt, js, n_i, fifo, h2);
   PassPair p{reset_bank(n_i, fifo), reset_bank(n_i, fifo)};
   chip.run_pass(t, iblock, eps2, p.kernel.acc, p.kernel.nb);
   reference_pass(chip, mc, fmt, t, iblock, eps2, p.reference);
@@ -169,8 +194,9 @@ TEST(PipelineCrosscheck, BitIdenticalAcrossFormatsEpsAndNeighbors) {
 TEST(PipelineCrosscheck, ShapeSweepMatchesReference) {
   // Chip shapes around the kernel's loop and block boundaries: an empty
   // and a nearly empty j-memory (a small served job spread over many
-  // chips leaves about one j-particle per chip), j counts either side of
-  // 32, partial and full i-blocks; prediction both at and past the stored
+  // chips leaves about one j-particle per chip), odd counts that end in a
+  // half-filled lane pair, j counts either side of 32 and of the 64-slot
+  // block, partial and full i-blocks; prediction both at and past the stored
   // block time; and a chip FIFO shallower than the host's recorders, deep
   // enough neighbor lists to overflow it.
   MachineConfig mc;
@@ -179,7 +205,8 @@ TEST(PipelineCrosscheck, ShapeSweepMatchesReference) {
   auto js = random_js(512, 0x5a5e);
   for (auto& p : js) p.t0 = 0.125;
   bool overflowed = false;
-  for (std::size_t n_j : {0u, 1u, 2u, 31u, 32u, 33u, 96u, 512u}) {
+  for (std::size_t n_j :
+       {0u, 1u, 2u, 3u, 5u, 31u, 32u, 33u, 63u, 64u, 65u, 96u, 512u}) {
     for (std::size_t n_i : {1u, 7u, 47u, 48u}) {
       for (double t : {0.125, 0.1875}) {
         for (std::size_t fifo : {0u, 256u}) {
@@ -193,6 +220,188 @@ TEST(PipelineCrosscheck, ShapeSweepMatchesReference) {
     }
   }
   EXPECT_TRUE(overflowed);
+}
+
+/// Formats whose ranges are narrow enough that some, not all, kernel
+/// blocks and predictor slot pairs leave the normal range and take the
+/// scalar recompute.
+NumberFormats flushing_formats() {  // tiny dx^2, dx*dv and dt*x flush
+  NumberFormats f;
+  f.pipeline = FloatFormat(12, -20, 63);
+  f.velocity = f.pipeline;
+  f.predictor = f.pipeline;
+  return f;
+}
+NumberFormats saturating_formats() {  // rinv^2 saturates for r < ~0.18
+  NumberFormats f;
+  f.pipeline = FloatFormat(12, -62, 5);
+  f.velocity = f.pipeline;
+  f.predictor = FloatFormat(12, -62, 1);  // vel + correction past 2
+  return f;
+}
+
+TEST(PipelineCrosscheck, LaneFallbackBlocksMatchReference) {
+  const auto js = random_js(192, 0xfa11);
+  const MachineConfig mc;
+  for (const auto& fmt : {flushing_formats(), saturating_formats()}) {
+    for (double t : {0.125, 0x1p-18}) {  // the short step flushes dt * x
+      for (std::size_t fifo : {0u, 8u}) {
+        for (std::size_t n_j : {5u, 64u, 65u, 192u}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "frac=" << fmt.pipeline.frac_bits() << " t=" << t
+                       << " fifo=" << fifo << " n_j=" << n_j);
+          const auto p = run_both(mc, fmt, js, n_j, mc.i_parallelism(), t,
+                                  1e-4, fifo, 0.5);
+          expect_bit_identical(p.kernel, p.reference);
+        }
+      }
+    }
+  }
+}
+
+/// js with slot 1 moved onto slot 0's position: the pair (i=0, j=1) has
+/// dx = 0, so with eps = 0 its r^2 is exactly zero.
+std::vector<JParticle> with_coincident_pair(std::size_t n, std::uint64_t seed) {
+  auto js = random_js(n, seed);
+  js[1].pos = js[0].pos;
+  return js;
+}
+
+TEST(PipelineCrosscheck, ZeroSofteningCoincidentPairClamps) {
+  const auto js = with_coincident_pair(70, 0xc01d);
+  const MachineConfig mc;
+  for (const auto& fmt : {NumberFormats{}, NumberFormats::exact()}) {
+    for (std::size_t fifo : {0u, 8u}) {
+      const auto p = run_both(mc, fmt, js, js.size(), 7, 0.0, 0.0, fifo, 0.5);
+      expect_bit_identical(p.kernel, p.reference);
+    }
+  }
+}
+
+TEST(PipelineCrosscheck, BadSofteningRaisesTheScalarError) {
+  // A negative eps^2 makes r^2 negative for close pairs and a NaN eps^2
+  // makes every r^2 NaN: the rsqrt precondition fails. The kernel must
+  // raise the very PreconditionError the scalar unit raises.
+  const auto js = random_js(40, 0xbad);
+  const MachineConfig mc;
+  const NumberFormats fmt;
+  Chip chip(mc, fmt);
+  load_chip(chip, fmt, js, js.size());
+  const auto iblock = make_iblock(fmt, js, 3, 8, 0.5);
+  for (double eps2 : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    std::string kernel_error;
+    std::string reference_error;
+    PassResult kernel = reset_bank(iblock.size(), 8);
+    PassResult reference = reset_bank(iblock.size(), 8);
+    try {
+      chip.run_pass(0.0, iblock, eps2, kernel.acc, kernel.nb);
+    } catch (const PreconditionError& e) {
+      kernel_error = e.what();
+    }
+    try {
+      reference_pass(chip, mc, fmt, 0.0, iblock, eps2, reference);
+    } catch (const PreconditionError& e) {
+      reference_error = e.what();
+    }
+    EXPECT_NE(kernel_error.find("rsqrt of negative operand"), std::string::npos)
+        << "eps2=" << eps2 << ": " << kernel_error;
+    EXPECT_EQ(kernel_error, reference_error) << "eps2=" << eps2;
+  }
+}
+
+/// One line per i-slot: the seven accumulator mantissas, the overflow
+/// flag, and (neighbors on) the nearest register and the FIFO contents.
+void dump_pass(std::ostream& os, const std::string& label, const PassResult& r) {
+  os << "case " << label << '\n';
+  for (std::size_t k = 0; k < r.acc.size(); ++k) {
+    const HwAccumulators& a = r.acc[k];
+    os << "i" << k;
+    for (int d = 0; d < 3; ++d) os << ' ' << a.acc[d].mantissa();
+    for (int d = 0; d < 3; ++d) os << ' ' << a.jerk[d].mantissa();
+    os << ' ' << a.pot.mantissa() << " ovf=" << a.overflow();
+    if (!r.nb.empty()) {
+      const HwNeighborRecorder& nb = r.nb[k];
+      os << " nearest=";
+      if (nb.has_nearest) {
+        os << nb.nearest << ':' << std::hex
+           << std::bit_cast<std::uint64_t>(nb.nearest_r2) << std::dec;
+      } else {
+        os << '-';
+      }
+      os << " fifo_ovf=" << nb.overflow << " fifo=";
+      for (std::size_t n = 0; n < nb.indices.size(); ++n) {
+        os << (n == 0 ? "" : ",") << nb.indices[n];
+      }
+    }
+    os << '\n';
+  }
+}
+
+/// The golden corpus, run through both the kernel and the scalar
+/// reference: the format presets, the fallback-forcing formats and the
+/// zero-softening clamp.
+void golden_corpus(std::ostream& kernel, std::ostream& reference) {
+  struct Case {
+    const char* label;
+    NumberFormats fmt;
+    std::vector<JParticle> js;
+    double t;
+    double eps2;
+  };
+  NumberFormats narrow;
+  narrow.pipeline = FloatFormat(16, -62, 63);
+  narrow.velocity = FloatFormat(16, -62, 63);
+  narrow.predictor = FloatFormat(12, -62, 63);
+  const std::vector<Case> cases = {
+      {"hardware", NumberFormats{}, random_js(96, 0x5eed), 0.125, 1e-4},
+      {"exact", NumberFormats::exact(), random_js(96, 0x5eed), 0.125, 1e-4},
+      {"narrow", narrow, random_js(96, 0x5eed), 0.125, 1e-4},
+      {"flushing", flushing_formats(), random_js(192, 0xfa11), 0.125, 1e-4},
+      {"flushing-short-step", flushing_formats(), random_js(192, 0xfa11), 0x1p-18, 1e-4},
+      {"saturating", saturating_formats(), random_js(192, 0xfa11), 0.125, 1e-4},
+      {"eps0-hardware", NumberFormats{}, with_coincident_pair(70, 0xc01d), 0.0, 0.0},
+      {"eps0-exact", NumberFormats::exact(), with_coincident_pair(70, 0xc01d), 0.0, 0.0},
+  };
+  const MachineConfig mc;
+  for (const auto& c : cases) {
+    for (std::size_t fifo : {0u, 8u}) {
+      const auto p = run_both(mc, c.fmt, c.js, c.js.size(), mc.i_parallelism(),
+                              c.t, c.eps2, fifo, 0.5);
+      const std::string label =
+          std::string(c.label) + (fifo == 0 ? "" : "/neighbors");
+      dump_pass(kernel, label, p.kernel);
+      dump_pass(reference, label, p.reference);
+    }
+  }
+}
+
+TEST(PipelineCrosscheck, GoldenFixtureMatchesKernelAndReference) {
+  // data/pipeline_golden.txt was written by the scalar reference path
+  // before the two-stage kernel existed. On a mismatch the kernel's dump
+  // is written next to the test binary for inspection.
+  std::ifstream in(G6_GOLDEN_FIXTURE);
+  std::stringstream golden;
+  golden << in.rdbuf();
+  std::ostringstream kernel;
+  std::ostringstream reference;
+  golden_corpus(kernel, reference);
+  EXPECT_EQ(reference.str(), kernel.str());
+  if (kernel.str() != golden.str()) {
+    std::ofstream(G6_GOLDEN_ACTUAL) << kernel.str();
+    std::istringstream a(kernel.str());
+    std::istringstream g(golden.str());
+    std::string la;
+    std::string lg;
+    for (int line = 1; std::getline(g, lg); ++line) {
+      if (!std::getline(a, la) || la != lg) {
+        ADD_FAILURE() << G6_GOLDEN_FIXTURE << ':' << line << " differs\n  golden: "
+                      << lg << "\n  kernel: " << la << "\n(kernel dump: "
+                      << G6_GOLDEN_ACTUAL << ')';
+        break;
+      }
+    }
+    FAIL() << "kernel output differs from the golden fixture";
+  }
 }
 
 /// Full-engine forces on a 2-board machine.

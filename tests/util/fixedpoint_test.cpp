@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -48,6 +50,61 @@ TEST(FixedPointCodec, RejectsOutOfRange) {
   EXPECT_NO_THROW(codec.encode(1.9));   // guard bits allow up to 2*range
   EXPECT_THROW(codec.encode(4.0), PreconditionError);
   EXPECT_THROW(FixedPointCodec(-1.0), PreconditionError);
+}
+
+TEST(RoundToInt64, MatchesLlrint) {
+  std::vector<double> xs;
+  // Random magnitudes over the whole domain |x| < 2^62.
+  Rng rng(0x11a1);
+  for (int i = 0; i < 200000; ++i) {
+    const double x = std::ldexp(rng.uniform(0.5, 1.0), static_cast<int>(rng.uniform(-60, 62)));
+    xs.push_back(rng.uniform(0.0, 1.0) < 0.5 ? x : -x);
+  }
+  // Ties (k + 1/2, both parities) and near-ties at every scale below 2^52.
+  for (int e = 0; e < 52; ++e) {
+    const double k = std::ldexp(1.0, e);
+    for (double t : {k - 0.5, k + 0.5, k + 1.5, k - 1.5, std::nextafter(k + 0.5, 0.0),
+                     std::nextafter(k + 0.5, 1e300)}) {
+      xs.push_back(t);
+      xs.push_back(-t);
+    }
+  }
+  // The 2^52 switch-over, 2^53 (spacing 2) and the top of the domain.
+  for (double b : {0x1p52, 0x1p53, 0x1p62}) {
+    for (int s = -4; s <= 4; ++s) {
+      double x = b;
+      for (int n = 0; n < std::abs(s); ++n) x = std::nextafter(x, s < 0 ? 0.0 : 1e300);
+      if (std::fabs(x) < 0x1p62) {
+        xs.push_back(x);
+        xs.push_back(-x);
+      }
+    }
+  }
+  xs.push_back(0.0);
+  xs.push_back(-0.0);
+  xs.push_back(0.25);
+  xs.push_back(-0.75);
+  for (double x : xs) {
+    ASSERT_EQ(round_to_int64(x), std::llrint(x)) << std::hexfloat << x;
+  }
+}
+
+TEST(BlockFloatAccumulator, AddendAtTheOverflowBoundary) {
+  // Block exponent 62 - kFracBits = 6 makes the scale 2^50: the addend
+  // 2^12 lands exactly on the 2^62 word limit and overflows; the largest
+  // double below it is rounded and accumulated exactly.
+  BlockFloatAccumulator at(6);
+  at.add(0x1p12);
+  EXPECT_TRUE(at.overflow());
+  BlockFloatAccumulator below(6);
+  const double x = std::nextafter(0x1p12, 0.0);
+  below.add(-x);
+  EXPECT_FALSE(below.overflow());
+  EXPECT_EQ(below.mantissa(), std::llrint(-x * 0x1p50));
+  // Just under 2^52 on the grid: a tie rounds to even, as llrint does.
+  BlockFloatAccumulator tie(6);
+  tie.add(std::ldexp(0x1p52 - 1.5, -50));
+  EXPECT_EQ(tie.mantissa(), std::llrint(0x1p52 - 1.5));
 }
 
 TEST(BlockFloatAccumulator, AccumulatesSimpleSum) {
