@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "util/errors.hpp"
 #include "grape/engine.hpp"
@@ -222,6 +229,88 @@ TEST(Checkpoint, TruncatedTrailerIsRejected) {
   const std::string text = checkpoint_text(7);
   std::stringstream bad(text.substr(0, text.size() - 5));
   EXPECT_THROW(fault::read_checkpoint(bad), fault::FaultError);
+}
+
+TEST(Checkpoint, ExtremeValuesRoundTripBitExact) {
+  // The ends of the double and integer ranges, subnormals and -0 come
+  // back bit for bit, not just equal.
+  const ParticleSet set = test_system(16, 3);
+  GrapeForceEngine hw(tiny_machine(), NumberFormats{}, 1.0 / 64.0);
+  HermiteIntegrator integ(set, hw);
+  fault::RunCheckpoint cp = make_checkpoint(integ, hw);
+  using lim = std::numeric_limits<double>;
+  const double extremes[] = {-0.0,          lim::denorm_min(),
+                             -lim::min(),   0x1.fffffffffffffp-1022,
+                             lim::max(),    lim::lowest(),
+                             0.1,           -1e-300};
+  for (std::size_t k = 0; k < std::size(extremes); ++k) {
+    cp.state.particles[k].snap.y = extremes[k];
+    cp.state.dt[k] = extremes[k];
+    cp.state.last_force[k].pot = extremes[k];
+  }
+  cp.e0 = -0.0;
+  cp.state.total_steps = std::numeric_limits<unsigned long long>::max();
+  cp.snap_id = -7;
+  cp.exponents[0].acc = -60;
+
+  std::stringstream ss;
+  fault::write_checkpoint(ss, cp);
+  const fault::RunCheckpoint rt = fault::read_checkpoint(ss);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (std::size_t k = 0; k < std::size(extremes); ++k) {
+    EXPECT_EQ(bits(rt.state.particles[k].snap.y), bits(extremes[k])) << k;
+    EXPECT_EQ(bits(rt.state.dt[k]), bits(extremes[k])) << k;
+    EXPECT_EQ(bits(rt.state.last_force[k].pot), bits(extremes[k])) << k;
+  }
+  EXPECT_EQ(bits(rt.e0), bits(-0.0));
+  EXPECT_EQ(rt.state.total_steps, cp.state.total_steps);
+  EXPECT_EQ(rt.snap_id, -7);
+  EXPECT_EQ(rt.exponents[0].acc, -60);
+  expect_states_equal(rt.state, cp.state);
+}
+
+TEST(Checkpoint, NonFiniteFieldIsRejected) {
+  // A state holding inf or nan does not load, even under a valid checksum.
+  const ParticleSet set = test_system(16, 3);
+  GrapeForceEngine hw(tiny_machine(), NumberFormats{}, 1.0 / 64.0);
+  HermiteIntegrator integ(set, hw);
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    fault::RunCheckpoint cp = make_checkpoint(integ, hw);
+    cp.state.dt[1] = bad;
+    std::stringstream ss;
+    fault::write_checkpoint(ss, cp);
+    try {
+      fault::read_checkpoint(ss);
+      FAIL() << "loaded a checkpoint holding " << bad;
+    } catch (const fault::FaultError& e) {
+      EXPECT_NE(std::string(e.what()).find("particle record 1"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Checkpoint, LoadsFromAPipe) {
+  // load_checkpoint reads a seekable file in one piece and streams
+  // anything else (a FIFO, process substitution) to the same result.
+  const std::string text = checkpoint_text(7);
+  const auto dir = std::filesystem::temp_directory_path() / "g6_ckpt_fifo";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "run.ckpt").string();
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  std::thread writer([&] {
+    std::ofstream os(path, std::ios::binary);  // blocks until the reader opens
+    os << text;
+  });
+  fault::RunCheckpoint rt;
+  EXPECT_NO_THROW(rt = fault::load_checkpoint(path));
+  writer.join();
+  std::stringstream ss(text);
+  expect_states_equal(rt.state, fault::read_checkpoint(ss).state);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Checkpoint, RotatingSaveKeepsPreviousGeneration) {
