@@ -25,13 +25,6 @@ std::int64_t flip_bit(std::int64_t v, std::uint64_t bit) {
       flip_bit_u64(static_cast<std::uint64_t>(v), bit));
 }
 
-/// Accumulator components in a fixed order: acc xyz, jerk xyz, pot.
-BlockFloatAccumulator& component(HwAccumulators& a, std::uint64_t c) {
-  if (c < 3) return a.acc[c];
-  if (c < 6) return a.jerk[c - 3];
-  return a.pot;
-}
-
 /// Constant wrong mantissa for a stuck output register: a function of the
 /// register's identity only, so the chip reports the same garbage every
 /// pass ("stuck-at" semantics).
@@ -227,8 +220,9 @@ void FaultInjector::apply_pass_faults(double t, int chip,
   if (out.empty()) return;
   if (chip_hard_failed(chip) || chip_stuck(chip)) {
     for (std::size_t k = 0; k < out.size(); ++k) {
-      for (std::uint64_t c = 0; c < 7; ++c) {
-        component(out[k], c).fault_set_mantissa(stuck_pattern(chip, k, c));
+      for (int c = 0; c < HwPartialWords::kWords; ++c) {
+        out[k].word(c).fault_set_mantissa(
+            stuck_pattern(chip, k, static_cast<std::uint64_t>(c)));
       }
     }
     ++counts_.stuck_passes;
@@ -243,7 +237,7 @@ void FaultInjector::apply_pass_faults(double t, int chip,
   // mantissa without turning the decoded value astronomically large.
   const std::int64_t mask =
       static_cast<std::int64_t>((rng_.next_u64() & 0xffffffffffffULL) | 1ULL);
-  component(out[k], c).fault_xor_mantissa(mask);
+  out[k].word(static_cast<int>(c)).fault_xor_mantissa(mask);
   ++counts_.compute_glitches;
   c_compute_.add(1);
   std::ostringstream os;

@@ -13,11 +13,14 @@ ProcessorModule::ProcessorModule(const MachineConfig& mc, const NumberFormats& f
 
 std::uint64_t ProcessorModule::run_pass(double t,
                                         std::span<const IParticlePacket> iblock,
+                                        std::span<const BlockExponents> exps,
                                         double eps2,
-                                        std::span<HwAccumulators> out,
+                                        std::span<HwPartialWords> out,
                                         std::span<HwNeighborRecorder> neighbors) {
+  G6_REQUIRE(exps.size() == iblock.size());
   G6_REQUIRE(out.size() == iblock.size());
   G6_REQUIRE(neighbors.empty() || neighbors.size() == iblock.size());
+  std::fill(out.begin(), out.end(), HwPartialWords{});
   std::uint64_t max_cycles = 0;
   // Thread-local scratch keeps run_pass reentrant for the exec-pool tasks
   // (concurrent passes run on distinct workers; nothing below yields to
@@ -29,10 +32,8 @@ std::uint64_t ProcessorModule::run_pass(double t,
   const bool want_nb = !neighbors.empty();
   nb_scratch.resize(want_nb ? iblock.size() : 0);
   for (std::size_t c = 0; c < chips_.size(); ++c) {
-    // Each chip's partials start from the same block exponents as `out`.
     for (std::size_t k = 0; k < iblock.size(); ++k) {
-      scratch[k].reset({out[k].acc[0].block_exp(), out[k].jerk[0].block_exp(),
-                        out[k].pot.block_exp()});
+      scratch[k].reset(exps[k]);
       if (want_nb) nb_scratch[k].reset(neighbors[k].capacity);
     }
     max_cycles = std::max(
@@ -41,7 +42,7 @@ std::uint64_t ProcessorModule::run_pass(double t,
                            want_nb ? std::span<HwNeighborRecorder>(nb_scratch)
                                    : std::span<HwNeighborRecorder>{}));
     for (std::size_t k = 0; k < iblock.size(); ++k) {
-      out[k].merge(scratch[k]);
+      out[k].merge(scratch[k].words());
       if (want_nb) neighbors[k].merge(nb_scratch[k]);
     }
   }
@@ -76,47 +77,33 @@ std::size_t ProcessorBoard::total_j() const {
   return n;
 }
 
-std::uint64_t ProcessorBoard::run_pass(double t,
-                                       std::span<const IParticlePacket> iblock,
-                                       double eps2,
-                                       std::span<HwAccumulators> out,
-                                       std::span<HwNeighborRecorder> neighbors) {
-  G6_REQUIRE(out.size() == iblock.size());
-  G6_REQUIRE(neighbors.empty() || neighbors.size() == iblock.size());
+std::uint64_t ProcessorBoard::sum_modules(
+    std::span<const std::uint64_t> module_cycles,
+    std::span<const HwPartialWords> module_words,
+    std::span<const HwNeighborRecorder> module_nb,
+    std::span<HwPartialWords> out, std::span<HwNeighborRecorder> neighbors) {
+  const std::size_t n = out.size();
+  const std::size_t words = module_cycles.size() * n;
+  G6_REQUIRE(module_words.size() == words);
+  G6_REQUIRE(module_nb.size() == (neighbors.empty() ? 0 : words));
+  G6_REQUIRE(neighbors.empty() || neighbors.size() == n);
+  std::fill(out.begin(), out.end(), HwPartialWords{});
   std::uint64_t max_cycles = 0;
-  // Same thread-local reuse as ProcessorModule::run_pass (distinct
-  // variables — module passes nested below do not touch these).
-  static thread_local std::vector<HwAccumulators> scratch;
-  static thread_local std::vector<HwNeighborRecorder> nb_scratch;
-  scratch.resize(iblock.size());
-  const bool want_nb = !neighbors.empty();
-  nb_scratch.resize(want_nb ? iblock.size() : 0);
-  for (auto& mod : modules_) {
-    for (std::size_t k = 0; k < iblock.size(); ++k) {
-      scratch[k].reset({out[k].acc[0].block_exp(), out[k].jerk[0].block_exp(),
-                        out[k].pot.block_exp()});
-      if (want_nb) nb_scratch[k].reset(neighbors[k].capacity);
-    }
-    max_cycles = std::max(
-        max_cycles,
-        mod.run_pass(t, iblock, eps2, scratch,
-                     want_nb ? std::span<HwNeighborRecorder>(nb_scratch)
-                             : std::span<HwNeighborRecorder>{}));
-    for (std::size_t k = 0; k < iblock.size(); ++k) {
-      out[k].merge(scratch[k]);
-      if (want_nb) neighbors[k].merge(nb_scratch[k]);
+  for (std::size_t m = 0; m < module_cycles.size(); ++m) {
+    max_cycles = std::max(max_cycles, module_cycles[m]);
+    for (std::size_t k = 0; k < n; ++k) {
+      out[k].merge(module_words[m * n + k]);
+      if (!neighbors.empty()) neighbors[k].merge(module_nb[m * n + k]);
     }
   }
   return max_cycles + kSummationLatencyCycles;
 }
 
-void NetworkBoard::reduce(std::span<const std::vector<HwAccumulators>> per_board,
+void NetworkBoard::reduce(std::span<const HwPartialWords> board_sums,
                           std::span<HwAccumulators> out) {
-  G6_REQUIRE(!per_board.empty());
-  for (const auto& bank : per_board) {
-    G6_REQUIRE(bank.size() == out.size());
-    for (std::size_t k = 0; k < out.size(); ++k) out[k].merge(bank[k]);
-  }
+  const std::size_t n = out.size();
+  G6_REQUIRE(n == 0 ? board_sums.empty() : board_sums.size() % n == 0);
+  for (std::size_t i = 0; i < board_sums.size(); ++i) out[i % n].merge(board_sums[i]);
 }
 
 }  // namespace g6

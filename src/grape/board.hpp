@@ -9,7 +9,6 @@
 // i-block per pass.
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -28,14 +27,16 @@ class ProcessorModule {
   Chip& chip(std::size_t i) { return chips_[i]; }
   const Chip& chip(std::size_t i) const { return chips_[i]; }
 
-  /// Run one pass on all chips (same i-block, disjoint j) and merge the
-  /// partials in the summation unit. `out` must be reset by the caller;
-  /// `neighbors` (optional, same length) collects the merged neighbor
+  /// Run one pass on all chips (same i-block, disjoint j; every chip's
+  /// partials start from `exps`) and merge the partials in the summation
+  /// unit, in chip order. `out` is overwritten; `neighbors` (optional,
+  /// same length, reset by the caller) collects the merged neighbor
   /// lists. Returns cycles = max over chips + summation latency.
   /// Reentrant: concurrent passes with distinct `out` banks are safe (all
   /// scratch is pass-local; the chips only read their j-memory).
   std::uint64_t run_pass(double t, std::span<const IParticlePacket> iblock,
-                         double eps2, std::span<HwAccumulators> out,
+                         std::span<const BlockExponents> exps, double eps2,
+                         std::span<HwPartialWords> out,
                          std::span<HwNeighborRecorder> neighbors = {});
 
  private:
@@ -47,6 +48,7 @@ class ProcessorBoard {
   ProcessorBoard(const MachineConfig& mc, const NumberFormats& fmt);
 
   std::size_t module_count() const { return modules_.size(); }
+  ProcessorModule& module(std::size_t m) { return modules_[m]; }
   std::size_t chip_count() const;
 
   /// Flat chip addressing 0 .. chips_per_board-1.
@@ -54,11 +56,17 @@ class ProcessorBoard {
 
   std::size_t total_j() const;
 
-  /// One pass over the whole board. Returns cycles (max over modules +
-  /// board-level reduction). Reentrant like ProcessorModule::run_pass.
-  std::uint64_t run_pass(double t, std::span<const IParticlePacket> iblock,
-                         double eps2, std::span<HwAccumulators> out,
-                         std::span<HwNeighborRecorder> neighbors = {});
+  /// The board's summation unit: merge one pass's module partials into
+  /// `out` (overwritten) in module order, and their neighbor recorders
+  /// into `neighbors` (reset by the caller; both empty without neighbor
+  /// collection). The module spans are module-major, out.size() slots per
+  /// module. Returns the board's cycles: max over `module_cycles` + the
+  /// summation latency.
+  static std::uint64_t sum_modules(std::span<const std::uint64_t> module_cycles,
+                                   std::span<const HwPartialWords> module_words,
+                                   std::span<const HwNeighborRecorder> module_nb,
+                                   std::span<HwPartialWords> out,
+                                   std::span<HwNeighborRecorder> neighbors);
 
  private:
   std::vector<ProcessorModule> modules_;
@@ -71,9 +79,10 @@ class NetworkBoard {
  public:
   static constexpr std::uint64_t kLatencyCycles = 32;
 
-  /// Reduce per-board partial banks (outer index: board) into `out`,
-  /// which must be reset with the same block exponents.
-  static void reduce(std::span<const std::vector<HwAccumulators>> per_board,
+  /// Reduce per-board partial sums (board-major, out.size() slots per
+  /// board) into `out`, in board order. `out` must be reset with the
+  /// block exponents the partials were taken on.
+  static void reduce(std::span<const HwPartialWords> board_sums,
                      std::span<HwAccumulators> out);
 };
 

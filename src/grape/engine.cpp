@@ -386,66 +386,74 @@ GrapeForceEngine::FaultCharges GrapeForceEngine::fault_prologue(double t) {
 GrapeForceEngine::PassResult GrapeForceEngine::run_boards(
     double t, std::span<const IParticlePacket> pass,
     std::span<const BlockExponents> exps, std::vector<HwAccumulators>& out,
-    std::span<HwNeighborRecorder> neighbors,
-    std::vector<std::vector<HwAccumulators>>& board_bank,
-    std::vector<std::vector<HwNeighborRecorder>>& nb_banks, bool parallel) {
+    std::span<HwNeighborRecorder> neighbors, PassBanks& banks, bool parallel) {
   G6_REQUIRE(pass.size() <= mc_.i_parallelism());
   G6_REQUIRE(exps.size() == pass.size());
   G6_REQUIRE(neighbors.empty() || neighbors.size() == pass.size());
   const double eps2 = eps_ * eps_;
   const bool want_nb = !neighbors.empty();
+  const std::size_t n = pass.size();
+  const std::size_t per_board = mc_.modules_per_board;
+  const std::size_t items = boards_.size() * per_board;
 
-  out.resize(pass.size());
-  for (std::size_t k = 0; k < pass.size(); ++k) out[k].reset(exps[k]);
-
-  // One partial bank (and neighbor bank) per board so the boards can run
-  // as concurrent tasks; everything merges below in fixed board order —
-  // the schedule never touches the result.
-  board_bank.resize(boards_.size());
-  if (want_nb) nb_banks.resize(boards_.size());
-  std::vector<std::uint64_t> board_cycles(boards_.size(), 0);
-
-  const auto run_one = [&](std::size_t b) {
-    auto& bank = board_bank[b];
-    bank.resize(pass.size());
-    for (std::size_t k = 0; k < pass.size(); ++k) bank[k].reset(exps[k]);
-    std::span<HwNeighborRecorder> nb{};
-    if (want_nb) {
-      nb_banks[b].resize(pass.size());
-      for (std::size_t k = 0; k < pass.size(); ++k) {
-        nb_banks[b][k].reset(neighbors[k].capacity);
-      }
-      nb = nb_banks[b];
-    }
-    board_cycles[b] = boards_[b].run_pass(t, pass, eps2, bank, nb);
+  banks.module_words.resize(items * n);
+  banks.module_cycles.resize(items);
+  banks.board_sums.resize(boards_.size() * n);
+  if (want_nb) {
+    banks.module_nb.resize(items * n);
+    banks.board_nb.resize(boards_.size() * n);
+  }
+  const auto nb_slice = [&](std::vector<HwNeighborRecorder>& bank,
+                            std::size_t i) {
+    if (!want_nb) return std::span<HwNeighborRecorder>{};
+    const std::span<HwNeighborRecorder> nb{bank.data() + i * n, n};
+    for (std::size_t k = 0; k < n; ++k) nb[k].reset(neighbors[k].capacity);
+    return nb;
   };
 
-  if (parallel && boards_.size() > 1) {
+  // One item per (board, module); each writes only its own slice of the
+  // banks, so the items can run as concurrent tasks.
+  const auto run_module = [&](std::size_t i) {
+    banks.module_cycles[i] =
+        boards_[i / per_board].module(i % per_board).run_pass(
+            t, pass, exps, eps2, {banks.module_words.data() + i * n, n},
+            nb_slice(banks.module_nb, i));
+  };
+  if (parallel && items > 1) {
     exec::TaskGroup group;
-    for (std::size_t b = 0; b < boards_.size(); ++b) {
-      group.run([&run_one, b] { run_one(b); });
+    for (std::size_t i = 0; i < items; ++i) {
+      group.run([&run_module, i] { run_module(i); });
     }
     group.wait();
   } else {
-    for (std::size_t b = 0; b < boards_.size(); ++b) run_one(b);
+    for (std::size_t i = 0; i < items; ++i) run_module(i);
   }
 
+  // The summation tree in its fixed order — modules into their board,
+  // then boards into `out` — whatever order the items ran in.
+  PassResult r;
   std::uint64_t max_board_cycles = 0;
   for (std::size_t b = 0; b < boards_.size(); ++b) {
-    max_board_cycles = std::max(max_board_cycles, board_cycles[b]);
-    if (want_nb) {
-      for (std::size_t k = 0; k < pass.size(); ++k) {
-        neighbors[k].merge(nb_banks[b][k]);
-      }
+    const std::span<const HwNeighborRecorder> module_nb =
+        want_nb ? std::span<const HwNeighborRecorder>(
+                      banks.module_nb.data() + b * per_board * n, per_board * n)
+                : std::span<const HwNeighborRecorder>{};
+    const std::span<HwNeighborRecorder> board_nb = nb_slice(banks.board_nb, b);
+    max_board_cycles = std::max(
+        max_board_cycles,
+        ProcessorBoard::sum_modules(
+            {banks.module_cycles.data() + b * per_board, per_board},
+            {banks.module_words.data() + b * per_board * n, per_board * n},
+            module_nb, {banks.board_sums.data() + b * n, n}, board_nb));
+    for (std::size_t k = 0; k < board_nb.size(); ++k) {
+      neighbors[k].merge(board_nb[k]);
     }
+    r.interactions += static_cast<std::uint64_t>(boards_[b].total_j()) * n;
   }
-  NetworkBoard::reduce(board_bank, out);
-
-  PassResult r;
+  out.resize(n);
+  for (std::size_t k = 0; k < n; ++k) out[k].reset(exps[k]);
+  NetworkBoard::reduce(banks.board_sums, out);
   r.cycles = max_board_cycles + NetworkBoard::kLatencyCycles;
-  for (const auto& b : boards_) {
-    r.interactions += static_cast<std::uint64_t>(b.total_j()) * pass.size();
-  }
   return r;
 }
 
@@ -455,8 +463,8 @@ std::uint64_t GrapeForceEngine::compute_partials(
     std::span<HwNeighborRecorder> neighbors) {
   const bool parallel =
       exec::ThreadPool::global().worker_count() > 0 && injector_ == nullptr;
-  const PassResult r = run_boards(t, pass, exps, out, neighbors,
-                                  board_partials_, board_nb_banks_, parallel);
+  const PassResult r =
+      run_boards(t, pass, exps, out, neighbors, partial_banks_, parallel);
   ++stats_.passes;
   stats_.interactions += r.interactions;
   return r.cycles;
@@ -606,11 +614,9 @@ void GrapeForceEngine::run_chunk(double t, std::span<const PredictedState> block
   // Chunk-local result banks: concurrent chunks share nothing but the
   // (read-only) packets and the boards, whose passes are reentrant.
   std::vector<HwAccumulators> merged;
-  std::vector<std::vector<HwAccumulators>> board_bank;
-  std::vector<std::vector<HwNeighborRecorder>> nb_banks;
   std::vector<HwAccumulators> vote_bank;
-  std::vector<std::vector<HwAccumulators>> vote_board_bank;
   std::vector<HwNeighborRecorder> pass_nb;
+  PassBanks banks;
   // Total neighbor capacity visible to the host: one FIFO per chip.
   const std::size_t host_nb_capacity =
       mc_.neighbor_buffer_per_chip * mc_.chips_per_host();
@@ -629,7 +635,7 @@ void GrapeForceEngine::run_chunk(double t, std::span<const PredictedState> block
       PassResult r = run_boards(t, pass, pass_exps, merged,
                                 want_nb ? std::span<HwNeighborRecorder>(pass_nb)
                                         : std::span<HwNeighborRecorder>{},
-                                board_bank, nb_banks, parallel);
+                                banks, parallel);
       acct.cycles += r.cycles;
       ++acct.passes;
       acct.interactions += r.interactions;
@@ -638,8 +644,7 @@ void GrapeForceEngine::run_chunk(double t, std::span<const PredictedState> block
       // collection — lists come from the first pass) and require the
       // two BFP result banks to agree bit for bit. Vote mode implies an
       // injector, so this path is always on the caller thread.
-      r = run_boards(t, pass, pass_exps, vote_bank, {}, vote_board_bank,
-                     nb_banks, parallel);
+      r = run_boards(t, pass, pass_exps, vote_bank, {}, banks, parallel);
       acct.cycles += r.cycles;
       ++acct.passes;
       acct.interactions += r.interactions;

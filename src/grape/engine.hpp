@@ -71,11 +71,12 @@ class GrapeForceEngine final : public ForceEngine {
 
   /// Chunked asynchronous submission: the block is split into passes of
   /// i_parallelism() particles, each evaluated as a task on the shared
-  /// exec pool (serial inline with no workers or with a fault injector
-  /// attached — the injector's RNG stream must see passes in order). The
-  /// caller corrects finished chunks via wait_chunk while later chunks
-  /// are still "on the hardware". Per-board partials merge in fixed board
-  /// order and exponent refinements are per-particle, so results are
+  /// exec pool that fans its passes out as one task per (board, module)
+  /// (all inline with no workers or with a fault injector attached — the
+  /// injector's RNG stream must see passes in order). The caller corrects
+  /// finished chunks via wait_chunk while later chunks are still "on the
+  /// hardware". Module and board partials merge in fixed order and
+  /// exponent refinements are per-particle, so results are
   /// bit-identical to the blocking path at any thread count. Virtual-time
   /// and stats accounting folds in the ticket's epilogue, in chunk order.
   ForceTicket submit_forces(double t, std::span<const PredictedState> block,
@@ -187,20 +188,30 @@ class GrapeForceEngine final : public ForceEngine {
     std::uint64_t cycles = 0;
     std::uint64_t interactions = 0;
   };
+  /// One pass's partials on their way up the summation tree: per (board,
+  /// module) item, then per board, i-slots innermost. Caller-owned and
+  /// reused across passes so the banks and neighbor-index heaps stop
+  /// churning the allocator (the recorders stay empty without neighbor
+  /// collection).
+  struct PassBanks {
+    std::vector<HwPartialWords> module_words;
+    std::vector<HwNeighborRecorder> module_nb;
+    std::vector<std::uint64_t> module_cycles;
+    std::vector<HwPartialWords> board_sums;
+    std::vector<HwNeighborRecorder> board_nb;
+  };
 
-  /// One hardware pass over all boards into caller-provided banks; board
-  /// partials merge in fixed board order (`parallel` affects scheduling
-  /// only). The stats-free core shared by compute_partials and run_chunk.
-  /// `board_bank` and `nb_banks` are caller-owned scratch, reused across
-  /// calls so accumulator banks and neighbor-index heaps stop churning
-  /// the allocator (nb_banks is untouched when `neighbors` is empty).
+  /// One hardware pass over all boards into `out`. Each (board, module)
+  /// pass is one item, run as a pool task when `parallel` and inline in
+  /// item order otherwise; after the join, module partials merge into
+  /// their board in module order and boards into `out` in board order,
+  /// so `parallel` affects scheduling only. The stats-free core shared by
+  /// compute_partials and run_chunk.
   PassResult run_boards(double t, std::span<const IParticlePacket> pass,
                         std::span<const BlockExponents> exps,
                         std::vector<HwAccumulators>& out,
                         std::span<HwNeighborRecorder> neighbors,
-                        std::vector<std::vector<HwAccumulators>>& board_bank,
-                        std::vector<std::vector<HwNeighborRecorder>>& nb_banks,
-                        bool parallel);
+                        PassBanks& banks, bool parallel);
   /// Evaluate block[begin, end) — retry loops, decode, exponent refresh.
   /// All scratch is chunk-local; exps_ writes are disjoint (block members
   /// are unique particles).
@@ -247,8 +258,7 @@ class GrapeForceEngine final : public ForceEngine {
   // Chunk tasks use only chunk-local banks; `inflight_` rejects a second
   // submission while one is outstanding.
   std::vector<IParticlePacket> packets_buf_;
-  std::vector<std::vector<HwAccumulators>> board_partials_;
-  std::vector<std::vector<HwNeighborRecorder>> board_nb_banks_;
+  PassBanks partial_banks_;
   bool inflight_ = false;
 
   // fault tolerance (inactive until enable_fault_tolerance)

@@ -11,6 +11,27 @@
 
 namespace g6 {
 
+/// One i-slot's pass partial with the block exponents left implicit: the
+/// seven BFP mantissas (acc x/y/z, jerk x/y/z, pot) and one overflow bit
+/// each. A module's partial waits in this form for its board's summation
+/// unit; 64 bytes against HwAccumulators' 224.
+struct HwPartialWords {
+  static constexpr int kWords = 7;
+  std::int64_t mant[kWords] = {};
+  std::uint8_t overflow = 0;  ///< bit w: word w overflowed
+
+  /// The same exact add as BlockFloatAccumulator::merge, word by word.
+  void merge(const HwPartialWords& o) {
+    for (int w = 0; w < kWords; ++w) {
+      if (BlockFloatAccumulator::add_overflows(mant[w], o.mant[w])) {
+        overflow = static_cast<std::uint8_t>(overflow | (1u << w));
+      }
+    }
+    overflow = static_cast<std::uint8_t>(overflow | o.overflow);
+  }
+};
+static_assert(sizeof(HwPartialWords) <= 64);
+
 /// Accumulator bank for one i-particle: 3 acceleration words, 3 jerk
 /// words, 1 potential word, all block floating point.
 struct HwAccumulators {
@@ -39,6 +60,31 @@ struct HwAccumulators {
       jerk[d].merge(o.jerk[d]);
     }
     pot.merge(o.pot);
+  }
+
+  /// The same merges, from a partial taken on this bank's exponents.
+  void merge(const HwPartialWords& o) {
+    for (int w = 0; w < HwPartialWords::kWords; ++w) {
+      word(w).merge_word(o.mant[w], ((o.overflow >> w) & 1u) != 0);
+    }
+  }
+
+  /// This bank's words, exponents dropped.
+  HwPartialWords words() const {
+    HwPartialWords p;
+    for (int w = 0; w < HwPartialWords::kWords; ++w) {
+      p.mant[w] = word(w).mantissa();
+      if (word(w).overflow()) p.overflow = static_cast<std::uint8_t>(p.overflow | (1u << w));
+    }
+    return p;
+  }
+
+  /// Word w in HwPartialWords order: acc x/y/z, jerk x/y/z, pot.
+  BlockFloatAccumulator& word(int w) {
+    return w < 3 ? acc[w] : w < 6 ? jerk[w - 3] : pot;
+  }
+  const BlockFloatAccumulator& word(int w) const {
+    return w < 3 ? acc[w] : w < 6 ? jerk[w - 3] : pot;
   }
 
   /// Decode to a host-side force.

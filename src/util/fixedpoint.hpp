@@ -13,8 +13,10 @@
 //    (paper Sec 3.4). The exponent of the result is fixed *before* the
 //    calculation; every addend is shifted onto that grid (one rounding) and
 //    then accumulated in exact 64-bit integer arithmetic. Summation is
-//    therefore associative and commutative: the result is bit-identical
-//    regardless of how many chips/boards the sum is split across. If the
+//    therefore associative and commutative while no partial sum
+//    overflows: the result is bit-identical regardless of how many
+//    chips/boards the sum is split across. The overflow flag is not
+//    associative (add_overflows), so reductions run in a fixed order. If the
 //    chosen exponent is too small the accumulator raises an overflow flag
 //    and the engine retries with a larger exponent — the "repeat the force
 //    calculation a few times until we have a good guess" behaviour the
@@ -131,13 +133,7 @@ class BlockFloatAccumulator {
       overflow_ = true;
       return;
     }
-    const std::int64_t q = round_to_int64(scaled);
-    std::int64_t sum = 0;
-    if (__builtin_add_overflow(mant_, q, &sum)) {
-      overflow_ = true;
-      return;
-    }
-    mant_ = sum;
+    if (add_overflows(mant_, round_to_int64(scaled))) overflow_ = true;
   }
 
   /// Merge another accumulator with the same block exponent (the
@@ -145,13 +141,26 @@ class BlockFloatAccumulator {
   void merge(const BlockFloatAccumulator& other) {
     G6_REQUIRE_MSG(other.block_exp_ == block_exp_,
                    "merging accumulators with different block exponents");
-    overflow_ = overflow_ || other.overflow_;
+    merge_word(other.mant_, other.overflow_);
+  }
+
+  /// Merge a bare partial word (mantissa + flag) taken on this
+  /// accumulator's block exponent.
+  void merge_word(std::int64_t mant, bool overflow) {
+    overflow_ = add_overflows(mant_, mant) || overflow_ || overflow;
+  }
+
+  /// One adder of the reduction tree: mant += other, exactly. Returns
+  /// true, leaving `mant` unchanged, when an int64 sum overflows. The
+  /// flag comes from this intermediate sum, so regrouping a merge tree
+  /// can change it: with a = b = 2^62 + 2^61, (a + b) + (-a) overflows
+  /// while a + (b + (-a)) does not. That is why every reduction in the
+  /// engine runs in one fixed order.
+  static bool add_overflows(std::int64_t& mant, std::int64_t other) {
     std::int64_t sum = 0;
-    if (__builtin_add_overflow(mant_, other.mant_, &sum)) {
-      overflow_ = true;
-      return;
-    }
-    mant_ = sum;
+    if (__builtin_add_overflow(mant, other, &sum)) return true;
+    mant = sum;
+    return false;
   }
 
   /// Decoded value.

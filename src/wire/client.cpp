@@ -64,7 +64,14 @@ obs::JsonValue RemoteClient::request(const std::string& method,
   os << "{\"schema\":\"" << kWireSchema
      << "\",\"kind\":\"request\",\"id\":" << id << ",\"method\":\"" << method
      << "\"" << extra_json << "}";
-  sock_.send_all(encode_frame(os.str()));
+  try {
+    sock_.send_all(encode_frame(os.str()));
+  } catch (const SocketError& e) {
+    // A unix peer that already hung up fails the send (EPIPE) before
+    // the read below could see its EOF: the same closed server.
+    throw WireError("server closed before responding to '" + method +
+                    "': " + e.what());
+  }
   while (true) {
     std::optional<obs::JsonValue> doc = read_envelope();
     if (!doc) {

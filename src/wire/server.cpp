@@ -348,7 +348,17 @@ struct WireServer::Impl {
     }
   }
 
+  /// Serve until drained or stopped, then hang up: with nothing left to
+  /// answer, every client reads EOF instead of waiting on a request.
   void pump(std::atomic<bool>* stop) {
+    serve_loop(stop);
+    conns.clear();
+    listener.close();
+    reg().gauge("wire.conns.open").set(0.0);
+    update_subscriber_gauge();
+  }
+
+  void serve_loop(std::atomic<bool>* stop) {
     bool live = service.run_rounds(0);  // query only: any live work?
     while (true) {
       if (stop != nullptr && stop->load(std::memory_order_relaxed)) return;

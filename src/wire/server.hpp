@@ -63,7 +63,10 @@ class WireServer {
   /// Serve until (a) a client requested drain AND no live work remains
   /// AND every queued byte is flushed, or (b) `stop` is raised (SIGTERM:
   /// returns promptly; the GrapeService's own stop_flag handles the
-  /// scheduler-side graceful drain).
+  /// scheduler-side graceful drain). Either way run() closes every
+  /// connection and the listener before it returns, so a request sent
+  /// afterwards fails on the client instead of waiting for an answer.
+  /// The server serves once: a second run() accepts nothing.
   void run(std::atomic<bool>* stop);
 
   /// The bound endpoint (tcp:host:0 listeners report the real port).

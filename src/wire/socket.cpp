@@ -198,8 +198,12 @@ ListenSocket::ListenSocket(const Endpoint& ep, int backlog) : ep_(ep) {
 }
 
 ListenSocket::~ListenSocket() {
-  if (fd_ >= 0) ::close(fd_);
+  close();
   if (ep_.kind == Endpoint::Kind::kUnix) ::unlink(ep_.path.c_str());
+}
+
+void ListenSocket::close() {
+  if (fd_ >= 0) ::close(std::exchange(fd_, -1));
 }
 
 std::optional<Socket> ListenSocket::accept() {

@@ -92,6 +92,8 @@ class ListenSocket {
   std::optional<Socket> accept();
 
   int fd() const { return fd_; }
+  /// Stop listening (idempotent): later connects are refused.
+  void close();
   /// The bound endpoint; for tcp:host:0 the kernel-assigned port is
   /// filled in, so tests can listen on an ephemeral port.
   const Endpoint& endpoint() const { return ep_; }

@@ -86,6 +86,63 @@ TEST(ExecDeterminism, GrapeForcesBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(grape_force_bits(8), serial);
 }
 
+/// Forces and neighbor lists of one first call, flattened for comparison.
+struct NeighborRun {
+  std::vector<std::uint64_t> force;
+  std::vector<NeighborResult> nb;
+  std::uint64_t retries = 0;
+};
+
+NeighborRun grape_neighbor_run(unsigned threads) {
+  exec::ThreadPool::set_global_threads(threads);
+  auto js = plummer_j(256, 37);
+  // Heavy particles: forces far above the fresh-guess exponents' headroom,
+  // so the first call must take overflow retries, whose trigger is the
+  // merged overflow flags.
+  for (auto& p : js) p.mass *= 65536.0;
+  MachineConfig mc = MachineConfig::single_host();
+  mc.boards_per_host = 2;
+  // 4 j-particles per chip against a 2-deep FIFO: wide radii overflow
+  // every chip's list, and each merged list spans all 16 modules.
+  mc.neighbor_buffer_per_chip = 2;
+  GrapeForceEngine hw(mc, NumberFormats{}, 1.0 / 64.0);
+  hw.load_particles(js);
+  const auto block = as_block(js);
+  std::vector<double> radii2(js.size());
+  for (std::size_t i = 0; i < radii2.size(); ++i) {
+    radii2[i] = i % 3 == 0 ? 100.0 : 0.02;
+  }
+  NeighborRun run;
+  std::vector<Force> f(js.size());
+  run.nb.resize(js.size());
+  hw.compute_forces_neighbors(0.0, block, radii2, f, run.nb);
+  run.force = force_bits(f);
+  run.retries = hw.stats().retries;
+  return run;
+}
+
+TEST(ExecDeterminism, GrapeNeighborsBitIdenticalAcrossThreadCounts) {
+  GlobalThreadsGuard guard;
+  const NeighborRun serial = grape_neighbor_run(1);
+  ASSERT_GT(serial.retries, 0u);
+  std::size_t overflowed = 0;
+  for (const NeighborResult& r : serial.nb) overflowed += r.overflow ? 1 : 0;
+  ASSERT_GT(overflowed, 0u);
+  ASSERT_LT(overflowed, serial.nb.size());
+
+  for (unsigned threads : {2u, 8u}) {
+    const NeighborRun run = grape_neighbor_run(threads);
+    EXPECT_EQ(run.force, serial.force) << threads << " threads";
+    EXPECT_EQ(run.retries, serial.retries) << threads << " threads";
+    ASSERT_EQ(run.nb.size(), serial.nb.size());
+    for (std::size_t i = 0; i < run.nb.size(); ++i) {
+      EXPECT_EQ(run.nb[i].indices, serial.nb[i].indices) << "i=" << i;
+      EXPECT_EQ(run.nb[i].overflow, serial.nb[i].overflow) << "i=" << i;
+      EXPECT_EQ(run.nb[i].nearest, serial.nb[i].nearest) << "i=" << i;
+    }
+  }
+}
+
 std::vector<std::uint64_t> direct_force_bits(unsigned threads) {
   exec::ThreadPool::set_global_threads(threads);
   const auto js = plummer_j(256, 17);

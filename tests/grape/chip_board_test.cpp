@@ -26,6 +26,22 @@ IParticlePacket probe(const NumberFormats& fmt, std::uint32_t index = 1000) {
   return quantize_i_particle(s, fmt);
 }
 
+/// A whole-board pass as the engine runs it: every module pass, then the
+/// board's summation unit. Returns the board's cycles.
+std::uint64_t board_pass(ProcessorBoard& board, std::span<const IParticlePacket> iblock,
+                         const BlockExponents& e, std::vector<HwPartialWords>& sum) {
+  const std::size_t n = iblock.size();
+  const std::vector<BlockExponents> exps(n, e);
+  std::vector<HwPartialWords> words(board.module_count() * n);
+  std::vector<std::uint64_t> cycles(board.module_count());
+  for (std::size_t m = 0; m < board.module_count(); ++m) {
+    cycles[m] = board.module(m).run_pass(0.0, iblock, exps, 1e-4,
+                                         {words.data() + m * n, n});
+  }
+  sum.resize(n);
+  return ProcessorBoard::sum_modules(cycles, words, {}, sum, {});
+}
+
 TEST(Chip, CycleCountFollowsVmpFormula) {
   MachineConfig mc;
   NumberFormats fmt;
@@ -105,18 +121,14 @@ TEST(Board, PartitionInvariance) {
 
   std::vector<IParticlePacket> iblock(5, probe(fmt));
   for (std::uint32_t k = 0; k < iblock.size(); ++k) iblock[k] = probe(fmt, 1000 + k);
-  std::vector<HwAccumulators> a(iblock.size()), b(iblock.size());
-  for (auto& x : a) x.reset({4, 10, 4});
-  for (auto& x : b) x.reset({4, 10, 4});
-  lump.run_pass(0.0, iblock, 1e-4, a);
-  spread.run_pass(0.0, iblock, 1e-4, b);
+  std::vector<HwPartialWords> a, b;
+  board_pass(lump, iblock, {4, 10, 4}, a);
+  board_pass(spread, iblock, {4, 10, 4}, b);
 
   for (std::size_t k = 0; k < iblock.size(); ++k) {
-    for (int d = 0; d < 3; ++d) {
-      EXPECT_EQ(a[k].acc[d].mantissa(), b[k].acc[d].mantissa());
-      EXPECT_EQ(a[k].jerk[d].mantissa(), b[k].jerk[d].mantissa());
+    for (int w = 0; w < HwPartialWords::kWords; ++w) {
+      EXPECT_EQ(a[k].mant[w], b[k].mant[w]);
     }
-    EXPECT_EQ(a[k].pot.mantissa(), b[k].pot.mantissa());
   }
 }
 
@@ -131,23 +143,21 @@ TEST(Board, CyclesDominatedBySlowestChip) {
     board.chip(0).write(i, quantize_j_particle(js[i], static_cast<std::uint32_t>(i), fmt));
   }
   std::vector<IParticlePacket> iblock(1, probe(fmt));
-  std::vector<HwAccumulators> out(1);
-  out[0].reset({4, 8, 4});
-  const std::uint64_t cycles = board.run_pass(0.0, iblock, 1e-4, out);
+  std::vector<HwPartialWords> out;
+  const std::uint64_t cycles = board_pass(board, iblock, {4, 8, 4}, out);
   // chip time + module summation + board summation
   EXPECT_EQ(cycles, 8ull * 10ull + mc.pipeline_latency_cycles +
                         2ull * kSummationLatencyCycles);
 }
 
 TEST(NetworkBoard, ReduceMergesExactly) {
-  std::vector<std::vector<HwAccumulators>> banks(4, std::vector<HwAccumulators>(1));
-  for (auto& bank : banks) {
-    bank[0].reset({4, 4, 4});
-    bank[0].acc[0].add(0.25);
-  }
+  HwAccumulators board;
+  board.reset({4, 4, 4});
+  board.acc[0].add(0.25);
+  const std::vector<HwPartialWords> sums(4, board.words());
   std::vector<HwAccumulators> out(1);
   out[0].reset({4, 4, 4});
-  NetworkBoard::reduce(banks, out);
+  NetworkBoard::reduce(sums, out);
   EXPECT_DOUBLE_EQ(out[0].acc[0].value(), 1.0);
 }
 

@@ -186,6 +186,31 @@ TEST(BlockFloatAccumulator, MergePropagatesOverflow) {
   EXPECT_TRUE(a.overflow());
 }
 
+TEST(BlockFloatAccumulator, MergeOverflowFlagDependsOnGrouping) {
+  // The mantissa sums are associative, the overflow flag is not: it comes
+  // from the intermediate int64 sum. This is why the engine's reduction
+  // tree (chips -> module -> board -> network board) has one fixed order.
+  const std::int64_t big = (std::int64_t{1} << 62) + (std::int64_t{1} << 61);
+  const auto word = [](std::int64_t mant) {
+    BlockFloatAccumulator w(0);
+    w.fault_set_mantissa(mant);
+    return w;
+  };
+  const BlockFloatAccumulator a = word(big), b = word(big), c = word(-big);
+
+  BlockFloatAccumulator left = a;  // (a + b) + c
+  left.merge(b);
+  left.merge(c);
+  EXPECT_TRUE(left.overflow());
+
+  BlockFloatAccumulator bc = b;  // a + (b + c)
+  bc.merge(c);
+  BlockFloatAccumulator right = a;
+  right.merge(bc);
+  EXPECT_FALSE(right.overflow());
+  EXPECT_EQ(right.mantissa(), big);
+}
+
 TEST(BlockFloatAccumulator, ResolutionDependsOnBlockExponent) {
   // Larger exponent -> coarser grid: tiny addends vanish. With block
   // exponent E the grid spacing is 2^(E - kFracBits).

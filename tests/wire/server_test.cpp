@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -352,6 +354,35 @@ TEST_F(WireServerTest, MalformedFramePoisonsOnlyItsConnection) {
   good.drain();
   join_drained();
   EXPECT_EQ(service_->stats().completed, 1u);
+}
+
+TEST_F(WireServerTest, RequestAfterDrainedRunFailsInsteadOfHanging) {
+  start();
+  RemoteClient client(endpoint_);
+  client.drain();  // nothing in flight: run() returns once this is answered
+  thread_.join();  // run() is done, the server object still lives
+
+  // The request runs on a helper thread with a deadline, so a server
+  // that keeps the connection open fails this test instead of hanging it.
+  std::promise<std::string> outcome;
+  std::future<std::string> done = outcome.get_future();
+  std::thread requester([&client, &outcome] {
+    try {
+      client.submit(quick_job("late"));
+      outcome.set_value("answered");
+    } catch (const WireError& e) {
+      outcome.set_value(e.what());
+    } catch (const std::exception& e) {
+      outcome.set_value(std::string("not a WireError: ") + e.what());
+    }
+  });
+  const bool finished =
+      done.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
+  server_.reset();  // closes whatever the server left open: unblocks a hang
+  requester.join();
+  ASSERT_TRUE(finished) << "request after run() returned blocked";
+  EXPECT_EQ(done.get().rfind("server closed before responding to 'submit'", 0),
+            0u);
 }
 
 }  // namespace
