@@ -116,7 +116,9 @@ BENCHMARK(BM_BlockFloatAdd);
 
 // Whole-chip pass (48-slot i-block against a populated j-memory). Its
 // items/s is the chip-pass interaction rate gated by
-// scripts/bench_regress.py.
+// scripts/bench_regress.py. nj = 1 and 32 are the per-chip j counts of
+// perfbench's serve_volatile (N = 64 over 64 chips) and integrate
+// (N = 2048 over 64 chips) workloads; nj = 512 is the long-stream row.
 void BM_ChipPass(benchmark::State& state) {
   const std::size_t n_j = static_cast<std::size_t>(state.range(0));
   const MachineConfig mc;
@@ -149,7 +151,7 @@ void BM_ChipPass(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n_j * iblock.size()));
 }
-BENCHMARK(BM_ChipPass)->Arg(512)->ArgName("nj");
+BENCHMARK(BM_ChipPass)->Arg(1)->Arg(32)->Arg(512)->ArgName("nj");
 
 void BM_OctreeBuild(benchmark::State& state) {
   Rng rng(1);

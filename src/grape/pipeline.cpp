@@ -2,18 +2,20 @@
 //
 // Each pipeline's op chain is written once, as a template over the value
 // type: `double` with FloatFormat's scalar ops (predict(), interact() and
-// the kernels' scalar recompute), or Lanes with LaneFormat's two-lane ops
-// (predict_batch(), stage 1 of interact_batch()). Bit-identity of the two
-// instantiations holds by construction — same ops, same association
-// order, one rounding per emulated unit — and
-// tests/grape/pipeline_crosscheck_test.cpp checks it. No -ffast-math
-// anywhere, and the library pins -ffp-contract=off (src/CMakeLists.txt).
+// the kernels' scalar recompute), or Lanes<W> with LaneFormat<W>'s lane ops
+// (predict_batch() at W = 2, stage 1 of interact_batch() at W = 2 or 4).
+// Bit-identity of the instantiations holds by construction — same ops,
+// same association order, one rounding per emulated unit — and
+// tests/grape/pipeline_crosscheck_test.cpp checks it at every width the
+// host runs. No -ffast-math anywhere, and the library pins
+// -ffp-contract=off (src/CMakeLists.txt), which the x86-64-v3 function
+// keeps: its FMA units are never used.
 
 #include "grape/pipeline.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <optional>
 
 #include "util/check.hpp"
 
@@ -34,17 +36,20 @@ std::int64_t wrap_sub(std::int64_t a, std::int64_t b) {
                                    static_cast<std::uint64_t>(b));
 }
 
-LaneInts wrap_sub(LaneInts a, LaneInts b) {
-  using LaneWords = std::uint64_t __attribute__((vector_size(16)));
-  return std::bit_cast<LaneInts>(std::bit_cast<LaneWords>(a) -
-                                 std::bit_cast<LaneWords>(b));
+template <int W>
+[[gnu::always_inline]] inline LaneInts<W> wrap_sub(const LaneInts<W>& a,
+                                                   const LaneInts<W>& b) {
+  using Bits = typename LaneVectors<W>::Bits;
+  using Vec = typename LaneInts<W>::Vec;
+  return {__builtin_bit_cast(
+      Vec, __builtin_bit_cast(Bits, a.v) - __builtin_bit_cast(Bits, b.v))};
 }
 
 /// Eqs (6)-(7) on one axis of a stored j-particle, in the predictor
 /// format: the position correction `c` (Horner, Eq 6), which the caller
 /// adds to the fixed-point base exactly, and the predicted velocity,
 /// delivered in the velocity format. `pf`/`vf` are FloatFormats
-/// (V = double) or LaneFormats (V = Lanes).
+/// (V = double) or LaneFormat<2>s (V = Lanes<2>).
 template <class Ops, class V>
 void predictor_chain(Ops& pf, Ops& vf, V dt, V vel, V acc, V jerk, V snap,
                      V& c, V& vel_out) {
@@ -62,6 +67,14 @@ void predictor_chain(Ops& pf, Ops& vf, V dt, V vel, V acc, V jerk, V snap,
 }  // namespace
 
 // --- predictor -------------------------------------------------------------
+
+PredictorUnit::PredictorUnit(const NumberFormats& fmt)
+    : fmt_(fmt), codec_(fmt.coord_range) {
+  if (LaneFormat<2>::supports(fmt.predictor) && LaneFormat<2>::supports(fmt.velocity)) {
+    pf_lanes_.emplace(fmt.predictor);
+    vf_lanes_.emplace(fmt.velocity);
+  }
+}
 
 PredictorUnit::Predicted PredictorUnit::predict(const StoredJParticle& j,
                                                 double t) const {
@@ -113,27 +126,27 @@ void PredictorUnit::predict_batch(const JStore& j, double t,
                                   PredictedBatch& out) const {
   const std::size_t n = j.size();
   out.resize(n);
-  if (!LaneFormat::supports(fmt_.predictor) || !LaneFormat::supports(fmt_.velocity)) {
+  if (!pf_lanes_) {
     for (std::size_t k = 0; k < n; ++k) out.set(k, predict(j.get(k), t));
     return;
   }
   // Two slots per step with the lane ops; a pair with a flagged lane is
   // predicted again with the scalar ops. An odd tail repeats its last slot.
-  LaneFormat pf(fmt_.predictor);
-  LaneFormat vf(fmt_.velocity);
+  LaneFormat<2> pf = *pf_lanes_;
+  LaneFormat<2> vf = *vf_lanes_;
   for (std::size_t k = 0; k < n; k += 2) {
     const std::size_t k1 = k + 1 < n ? k + 1 : k;
     const auto lanes = [&](std::span<const double> col) {
-      return Lanes{col[k], col[k1]};
+      return Lanes<2>{{col[k], col[k1]}};
     };
-    const Lanes dt = pf.sub(Lanes{t, t}, lanes(j.t0()));
-    Lanes c[3];
-    Lanes vel[3];
+    const Lanes<2> dt = pf.sub(Lanes<2>::splat(t), lanes(j.t0()));
+    Lanes<2> c[3];
+    Lanes<2> vel[3];
     for (int d = 0; d < 3; ++d) {
       predictor_chain(pf, vf, dt, lanes(j.vel(d)), lanes(j.acc(d)),
                       lanes(j.jerk(d)), lanes(j.snap(d)), c[d], vel[d]);
     }
-    const LaneInts flagged = pf.take_flagged() | vf.take_flagged();
+    const LaneInts<2> flagged = pf.take_flagged() | vf.take_flagged();
     for (std::size_t s = k; s <= k1; ++s) {
       const int l = static_cast<int>(s - k);
       if (flagged[l] != 0) {
@@ -166,10 +179,14 @@ struct Addends {
 
 /// The Fig 8 op chain in the pipeline format, from the exact fixed-point
 /// difference x_j - x_i and the two velocities. `f` is the FloatFormat
-/// (V = double) or a LaneFormat (V = Lanes); W is the matching 64-bit word.
-template <class Ops, class V, class W>
-Addends<V> op_chain(Ops& f, const FixedPointCodec& codec, const W (&diff)[3],
-                    const V (&jvel)[3], const V (&ivel)[3], V mass, V qeps2) {
+/// (V = double) or a LaneFormat<W> (V = Lanes<W>); Word is the matching
+/// 64-bit word.
+template <class Ops, class V, class Word>
+[[gnu::always_inline]] inline Addends<V> op_chain(Ops& f, const FixedPointCodec& codec,
+                                                  const Word (&diff)[3],
+                                                  const V (&jvel)[3],
+                                                  const V (&ivel)[3], const V& mass,
+                                                  const V& qeps2) {
   // One rounding into the pipeline float at the conversion.
   V dx[3];
   V dv[3];
@@ -206,10 +223,13 @@ Addends<V> op_chain(Ops& f, const FixedPointCodec& codec, const W (&diff)[3],
 }
 
 /// Wide-format A/B mode (NumberFormats::exact()): plain double arithmetic,
-/// on one pair (V = double) or two (V = Lanes).
-template <class V, class W>
-Addends<V> exact_chain(const FixedPointCodec& codec, const W (&diff)[3],
-                       const V (&jvel)[3], const V (&ivel)[3], V mass, V eps2) {
+/// on one pair (V = double) or W (V = Lanes<W>).
+template <class V, class Word>
+[[gnu::always_inline]] inline Addends<V> exact_chain(const FixedPointCodec& codec,
+                                                     const Word (&diff)[3],
+                                                     const V (&jvel)[3],
+                                                     const V (&ivel)[3],
+                                                     const V& mass, const V& eps2) {
   // g6lint: begin-allow(raw-float) -- this IS the IEEE-double reference
   // path; per-op quantization through FloatFormat would be an identity
   // here and only add latency.
@@ -236,8 +256,8 @@ Addends<V> exact_chain(const FixedPointCodec& codec, const W (&diff)[3],
   // g6lint: end-allow(raw-float)
 }
 
-/// Stage 2 for one j: the neighbor comparator on the r^2 word (hardware:
-/// compare + FIFO), then the block floating-point adds.
+/// interact()'s accumulation for one j: the neighbor comparator on the r^2
+/// word (hardware: compare + FIFO), then the block floating-point adds.
 void accumulate(const Addends<double>& a, std::uint32_t j_index, double h2,
                 HwAccumulators& out, HwNeighborRecorder* neighbors) {
   if (neighbors != nullptr) neighbors->record(j_index, a.r2, h2);
@@ -251,7 +271,144 @@ void accumulate(const Addends<double>& a, std::uint32_t j_index, double h2,
 /// j-slots per stage-1 block: the granule of the scalar recompute.
 constexpr std::size_t kBlock = 64;
 
+/// Stage 1's output for one block, column by column: each slot's r^2 word
+/// and its seven addends in HwPartialWords order (acc x/y/z, jerk x/y/z,
+/// pot). The self slot's addends are +0.0, which BlockFloatAccumulator::add
+/// skips, so stage 2 adds every column entry.
+struct BlockColumns {
+  double r2[kBlock];
+  double word[HwPartialWords::kWords][kBlock];
+};
+
+/// What stage 1 reads besides the j columns: the i-particle and the
+/// quantized eps^2.
+struct Stage1Inputs {
+  const PredictorUnit::PredictedBatch& j;
+  const FixedPointCodec& codec;
+  const IParticlePacket& ip;
+  double e2;
+};
+
+/// Stage 1 for the W slots k.. of a block, written to columns g..: the op
+/// chain on W lanes, addends masked to +0.0 on the self slot. With Splat,
+/// slot k alone fills every lane and only lane 0 is stored as live (the
+/// last slot of an odd remainder). `f` is null in the exact A/B mode.
+/// Returns the flagged live lanes.
+template <int W, bool Exact, bool Splat>
+[[gnu::always_inline]] inline LaneInts<W> stage1_step(const Stage1Inputs& in,
+                                                      LaneFormat<W>* f,
+                                                      std::size_t k, std::size_t g,
+                                                      BlockColumns& out) {
+  using V = Lanes<W>;
+  using M = LaneInts<W>;
+  const auto& j = in.j;
+  M diff[3];
+  V jvel[3];
+  V ivel[3];
+  for (int d = 0; d < 3; ++d) {
+    const M pos = Splat ? M::splat(j.pos[d][k]) : M::load(&j.pos[d][k]);
+    diff[d] = wrap_sub(pos, M::splat(in.ip.pos[d]));
+    jvel[d] = Splat ? V::splat(j.vel[d][k]) : V::load(&j.vel[d][k]);
+    ivel[d] = V::splat(in.ip.vel[d]);
+  }
+  const V mass = Splat ? V::splat(j.mass[k]) : V::load(&j.mass[k]);
+  // Flags and addends count only on the lanes stage 2 consumes: not the
+  // self slot (its r^2 = eps^2 may well saturate), not a splat's copies.
+  M live{};
+  for (int l = 0; l < (Splat ? 1 : W); ++l) {
+    live.v[l] = j.index[k + static_cast<std::size_t>(l)] != in.ip.index ? -1 : 0;
+  }
+  Addends<V> a;
+  if constexpr (Exact) {
+    a = exact_chain(in.codec, diff, jvel, ivel, mass, V::splat(in.e2));
+  } else {
+    a = op_chain(*f, in.codec, diff, jvel, ivel, mass, V::splat(in.e2));
+  }
+  a.r2.store(&out.r2[g]);
+  for (int d = 0; d < 3; ++d) {
+    select(live, a.acc[d]).store(&out.word[d][g]);
+    select(live, a.jerk[d]).store(&out.word[3 + d][g]);
+  }
+  select(live, a.pot).store(&out.word[6][g]);
+  if constexpr (Exact) {
+    return M{};
+  } else {
+    return f->take_flagged() & live;
+  }
+}
+
+/// Stage 1 for the m slots of the block at b: full groups of W slots on W
+/// lanes, the 1-3 slots left over in two-lane steps (an odd last slot on
+/// its own). Returns true when a live lane was flagged. `wide`/`narrow`
+/// are the caller's own copies of the lane ops (they keep the flag
+/// register), null in the exact mode.
+template <int W, bool Exact>
+[[gnu::always_inline]] inline bool stage1_block(const Stage1Inputs& in,
+                                                LaneFormat<W>* wide,
+                                                LaneFormat<2>* narrow, std::size_t b,
+                                                std::size_t m, BlockColumns& out) {
+  LaneInts<W> flagged{};
+  std::size_t g = 0;
+  for (; g + W <= m; g += W) {
+    flagged |= stage1_step<W, Exact, false>(in, wide, b + g, g, out);
+  }
+  LaneInts<2> rest{};
+  if constexpr (W > 2) {
+    if (g + 2 <= m) {
+      rest |= stage1_step<2, Exact, false>(in, narrow, b + g, g, out);
+      g += 2;
+    }
+  }
+  if (g < m) rest |= stage1_step<2, Exact, true>(in, narrow, b + g, g, out);
+  return flagged.any() || rest.any();
+}
+
+bool stage1_baseline(const Stage1Inputs& in, const LaneFormat<2>* lanes, bool exact,
+                     std::size_t b, std::size_t m, BlockColumns& out) {
+  if (exact) return stage1_block<2, true>(in, nullptr, nullptr, b, m, out);
+  LaneFormat<2> f = *lanes;
+  return stage1_block<2, false>(in, &f, &f, b, m, out);
+}
+
+#if defined(__x86_64__)
+/// The same at four lanes, compiled for x86-64-v3: run only where
+/// host_lane_width() is 4. Everything it calls on lanes is always_inline,
+/// so no wide vector crosses a call, and inline functions it does call
+/// keep their baseline copies.
+[[gnu::target("arch=x86-64-v3")]] bool stage1_wide(const Stage1Inputs& in,
+                                                   const LaneFormat<2>* lanes,
+                                                   bool exact, std::size_t b,
+                                                   std::size_t m, BlockColumns& out) {
+  if (exact) return stage1_block<4, true>(in, nullptr, nullptr, b, m, out);
+  LaneFormat<4> wide(*lanes);
+  LaneFormat<2> narrow = *lanes;
+  return stage1_block<4, false>(in, &wide, &narrow, b, m, out);
+}
+#endif
+
+std::atomic<int> g_forced_lane_width{0};
+
+/// The stage-1 lane width of a pipeline built now.
+int kernel_lane_width() {
+  const int forced = g_forced_lane_width.load(std::memory_order_relaxed);
+  return forced != 0 ? forced : host_lane_width();
+}
+
 }  // namespace
+
+bool test_hooks::force_lane_width(int width) {
+  if (width != 0 && width != 2 && !(width == 4 && host_lane_width() == 4)) return false;
+  g_forced_lane_width.store(width, std::memory_order_relaxed);
+  return true;
+}
+
+ForcePipeline::ForcePipeline(const NumberFormats& fmt)
+    : fmt_(fmt),
+      codec_(fmt.coord_range),
+      exact_(fmt.pipeline.frac_bits() >= 52),
+      wide_(kernel_lane_width() == 4) {
+  if (!exact_ && LaneFormat<2>::supports(fmt.pipeline)) lanes_.emplace(fmt.pipeline);
+}
 
 void ForcePipeline::interact(const PredictorUnit::Predicted& j,
                              const IParticlePacket& ip, double eps2,
@@ -283,79 +440,50 @@ void ForcePipeline::interact_batch(const PredictorUnit::PredictedBatch& j,
                                    HwNeighborRecorder* neighbors) const {
   G6_REQUIRE(j.index.size() == j.count && j.mass.size() == j.count);
   const std::size_t n = j.count;
-  if (!exact_ && !LaneFormat::supports(fmt_.pipeline)) {
+  if (!exact_ && !lanes_) {
     for (std::size_t k = 0; k < n; ++k) interact(j.at(k), ip, eps2, out, neighbors);
     return;
   }
 
   const FloatFormat& f = fmt_.pipeline;
-  std::optional<LaneFormat> lanes;
-  if (!exact_) lanes.emplace(f);
   // Loop-invariant pure hoists: interact() quantizes these identical
   // words once per interaction; once per call is the same bits.
-  const double e2 = exact_ ? eps2 : f.quantize(eps2);
+  const Stage1Inputs in{j, codec_, ip, exact_ ? eps2 : f.quantize(eps2)};
   const double h2 = exact_ ? ip.h2 : f.quantize(ip.h2);
-  const std::uint32_t self = ip.index;
+  const LaneFormat<2>* narrow = lanes_ ? &*lanes_ : nullptr;
   const std::uint32_t* idx = j.index.data();
-  LaneInts ipos[3];
-  Lanes ivel[3];
-  for (int d = 0; d < 3; ++d) {
-    ipos[d] = LaneInts{ip.pos[d], ip.pos[d]};
-    ivel[d] = Lanes{ip.vel[d], ip.vel[d]};
-  }
 
-  Addends<double> block[kBlock];  // stage 1 writes each slot stage 2 reads
+  BlockColumns cols;  // stage 1 writes each entry stage 2 reads
   for (std::size_t b = 0; b < n; b += kBlock) {
     const std::size_t m = std::min(kBlock, n - b);
 
-    // Stage 1 (pure, two j per step): the seven addends and r^2 of every
-    // slot in the block. An odd tail repeats its last slot in lane 1.
-    LaneInts flagged{};
-    for (std::size_t g = 0; g < m; g += 2) {
-      const std::size_t k0 = b + g;
-      const std::size_t k1 = g + 1 < m ? k0 + 1 : k0;
-      LaneInts diff[3];
-      Lanes jvel[3];
-      for (int d = 0; d < 3; ++d) {
-        diff[d] = wrap_sub(LaneInts{j.pos[d][k0], j.pos[d][k1]}, ipos[d]);
-        jvel[d] = Lanes{j.vel[d][k0], j.vel[d][k1]};
-      }
-      const Lanes mass = {j.mass[k0], j.mass[k1]};
-      const Addends<Lanes> a =
-          exact_ ? exact_chain(codec_, diff, jvel, ivel, mass, Lanes{e2, e2})
-                 : op_chain(*lanes, codec_, diff, jvel, ivel, mass, Lanes{e2, e2});
-      if (!exact_) {
-        // Flags count only on lanes stage 2 consumes: not the self slot
-        // (its r^2 = eps^2 may well saturate), not the tail's repeat.
-        const LaneInts live = {idx[k0] != self ? -1 : 0,
-                               k1 != k0 && idx[k1] != self ? -1 : 0};
-        flagged |= lanes->take_flagged() & live;
-      }
-      for (int l = 0; l < 2; ++l) {
-        Addends<double>& s = block[g + static_cast<std::size_t>(l)];
-        s.r2 = a.r2[l];
-        for (int d = 0; d < 3; ++d) {
-          s.acc[d] = a.acc[d][l];
-          s.jerk[d] = a.jerk[d][l];
-        }
-        s.pot = a.pot[l];
-      }
-    }
+#if defined(__x86_64__)
+    const bool flagged = wide_ ? stage1_wide(in, narrow, exact_, b, m, cols)
+                               : stage1_baseline(in, narrow, exact_, b, m, cols);
+#else
+    const bool flagged = stage1_baseline(in, narrow, exact_, b, m, cols);
+#endif
 
     // A flagged lane left the format's normal range (flush, saturation,
     // inf/NaN, a negative r^2): recompute the whole block with the scalar
     // ops, which handle those cases — and raise their errors — exactly.
-    if ((flagged[0] | flagged[1]) != 0) {
+    if (flagged) {
       for (std::size_t k = b; k < b + m; ++k) interact(j.at(k), ip, eps2, out, neighbors);
       continue;
     }
 
-    // Stage 2 (ordered, scalar): neighbor records and BFP adds in
-    // ascending slot order, so the overflow-flag trajectory and the FIFO
-    // order are those of interact() called slot by slot.
-    for (std::size_t g = 0; g < m; ++g) {
-      if (idx[b + g] == self) continue;  // hardware self-interaction cut
-      accumulate(block[g], idx[b + g], h2, out, neighbors);
+    // Stage 2 (ordered): the neighbor records in ascending slot order, then
+    // each accumulator word's column in ascending slot order. The words
+    // are independent, so each one's adds and overflow-flag trajectory are
+    // those of interact() called slot by slot, as is the FIFO order.
+    if (neighbors != nullptr) {
+      for (std::size_t g = 0; g < m; ++g) {
+        if (idx[b + g] == ip.index) continue;  // hardware self-interaction cut
+        neighbors->record(idx[b + g], cols.r2[g], h2);
+      }
+    }
+    for (int w = 0; w < HwPartialWords::kWords; ++w) {
+      out.word(w).add_run({cols.word[w], m});
     }
   }
 }

@@ -13,18 +13,22 @@
 //
 // The op chain is written once, over the value type. Chip::run_pass drives
 // the two-stage kernel interact_batch(): stage 1 evaluates the chain for a
-// block of j-particles two at a time with LaneFormat's lane ops, which
-// defer the format's range check into a per-block flag; stage 2 makes the
-// neighbor records and BFP adds in ascending slot order. A block with a
-// flagged lane (a result that flushes, saturates, is inf or NaN, or a
-// negative r2) is recomputed slot by slot with the scalar instantiation,
-// interact(), which is also the reference tests compare the kernel against.
+// block of j-particles W at a time with LaneFormat's lane ops, which defer
+// the format's range check into a per-block flag, and writes each slot's
+// r2 and seven addends into columns; stage 2 makes the neighbor records in
+// slot order, then adds each accumulator word's column in slot order. W is
+// 4 in an x86-64-v3 function when the CPU runs one (one cached check),
+// else 2 at the baseline ISA. A block with a flagged lane (a result that
+// flushes, saturates, is inf or NaN, or a negative r2) is recomputed slot
+// by slot with the scalar instantiation, interact(), which is also the
+// reference tests compare the kernel against.
 //
 // The block floating-point accumulators make the total independent of the
 // order and partitioning of the sum (paper Sec 3.4) — the property tested
 // in tests/grape/bfp_invariance_test.cpp.
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -101,8 +105,7 @@ struct HwNeighborRecorder {
 /// position exactly, as in the hardware.
 class PredictorUnit {
  public:
-  explicit PredictorUnit(const NumberFormats& fmt)
-      : fmt_(fmt), codec_(fmt.coord_range) {}
+  explicit PredictorUnit(const NumberFormats& fmt);
 
   /// Predicted j-particle ready for the force pipeline.
   struct Predicted {
@@ -138,16 +141,25 @@ class PredictorUnit {
  private:
   NumberFormats fmt_;
   FixedPointCodec codec_;
+  /// Predictor and velocity lane ops, when LaneFormat supports both.
+  std::optional<LaneFormat<2>> pf_lanes_;
+  std::optional<LaneFormat<2>> vf_lanes_;
 };
+
+namespace test_hooks {
+/// Test-only: make ForcePipelines built from now on run stage 1 at
+/// `width` lanes — 2, or 4 where host_lane_width() is 4 — so both kernels
+/// can be checked on one host; 0 restores the default. Returns false and
+/// changes nothing for a width this host cannot run. Not an option:
+/// nothing outside the tests calls it.
+bool force_lane_width(int width);
+}  // namespace test_hooks
 
 /// One physical force pipeline. Stateless except for the formats; the
 /// chip drives it once per (virtual pipeline, j-particle) pair.
 class ForcePipeline {
  public:
-  explicit ForcePipeline(const NumberFormats& fmt)
-      : fmt_(fmt),
-        codec_(fmt.coord_range),
-        exact_(fmt.pipeline.frac_bits() >= 52) {}
+  explicit ForcePipeline(const NumberFormats& fmt);
 
   /// Accumulate the interaction of predicted j-particle `j` on i-particle
   /// `ip` into `out`. Skips the self-interaction by index compare. When
@@ -160,19 +172,27 @@ class ForcePipeline {
                 HwNeighborRecorder* neighbors = nullptr) const;
 
   /// The chip pass's kernel: stream the whole predicted j-range past one
-  /// i-particle, block by block — stage 1 on two j at a time, stage 2 in
-  /// ascending slot order (file comment). The BFP accumulator words,
-  /// overflow flags and neighbor lists are bit-identical to calling
+  /// i-particle, block by block — stage 1 on lane_width() j at a time,
+  /// stage 2 in ascending slot order (file comment). The BFP accumulator
+  /// words, overflow flags and neighbor lists are bit-identical to calling
   /// interact() j-by-j (tests/grape/pipeline_crosscheck_test.cpp).
   void interact_batch(const PredictorUnit::PredictedBatch& j,
                       const IParticlePacket& ip, double eps2,
                       HwAccumulators& out,
                       HwNeighborRecorder* neighbors = nullptr) const;
 
+  /// Stage 1's lane width, fixed when the pipeline is built: 4 where
+  /// host_lane_width() is 4, else 2.
+  int lane_width() const { return wide_ ? 4 : 2; }
+
  private:
   NumberFormats fmt_;
   FixedPointCodec codec_;
   bool exact_;  ///< wide format: skip per-op rounding (A/B mode)
+  bool wide_;   ///< stage 1 runs four lanes
+  /// Pipeline-format lane ops, when LaneFormat supports the format (the
+  /// four-lane kernel converts them).
+  std::optional<LaneFormat<2>> lanes_;
 };
 
 }  // namespace g6

@@ -22,9 +22,11 @@
 //    calculation a few times until we have a good guess" behaviour the
 //    paper describes.
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "util/check.hpp"
 #include "util/softfloat.hpp"
@@ -70,7 +72,10 @@ class FixedPointCodec {
   }
 
   double decode(std::int64_t q) const { return static_cast<double>(q) * inv_scale_; }
-  Lanes decode(LaneInts q) const { return __builtin_convertvector(q, Lanes) * inv_scale_; }
+  template <int W>
+  [[gnu::always_inline]] Lanes<W> decode(const LaneInts<W>& q) const {
+    return {__builtin_convertvector(q.v, typename Lanes<W>::Vec) * inv_scale_};
+  }
 
   /// Round-trip a double through the hardware grid.
   double quantize(double x) const { return decode(encode(x)); }
@@ -107,12 +112,18 @@ class BlockFloatAccumulator {
     // is exact (identical to ldexp) whenever the scale itself is a normal
     // double; for the wild exponents outside that window add() falls back
     // to ldexp, keeping the two formulations bit-identical everywhere.
+    // Inside the window 2^k is built from its exponent field, no libm call.
     const int k = kFracBits - block_exp;
     scale_exact_ = k >= -1021 && k <= 1023;
-    scale_ = scale_exact_ ? std::ldexp(1.0, k) : 0.0;
+    scale_ = scale_exact_
+                 ? std::bit_cast<double>(static_cast<std::uint64_t>(k + 1023) << 52)
+                 : 0.0;
   }
 
   int block_exp() const { return block_exp_; }
+  /// The cached grid scale 2^(kFracBits - block_exp), or 0 outside the
+  /// window where add() calls ldexp instead.
+  double scale() const { return scale_; }
   bool overflow() const { return overflow_; }
   std::int64_t mantissa() const { return mant_; }
 
@@ -125,15 +136,34 @@ class BlockFloatAccumulator {
 
   /// Add a value, rounding it once onto the block grid. Sets the overflow
   /// flag if either the addend or the running sum exceeds the headroom.
-  void add(double x) {
-    if (x == 0.0) return;
-    const double scaled =
-        scale_exact_ ? x * scale_ : std::ldexp(x, kFracBits - block_exp_);
-    if (!(std::fabs(scaled) < 0x1p62)) {
-      overflow_ = true;
-      return;
+  void add(double x) { step(mant_, overflow_, x); }
+
+  /// add() each of `xs` in order, with the mantissa and the overflow flag
+  /// held in registers for the run: the same adds and the same flag
+  /// trajectory as calling add() on each.
+  [[gnu::always_inline]] void add_run(std::span<const double> xs) {
+    std::int64_t mant = mant_;
+    bool overflow = overflow_;
+    if (scale_exact_) {
+      // step() with the scale in a register, rounding with llrint — one
+      // instruction where the build lets it skip errno (src/CMakeLists.txt),
+      // and the same integer as round_to_int64 below 2^62 in any rounding
+      // mode. A zero addend is not skipped here: it rounds to 0, which
+      // leaves the sum and the flag alone.
+      const double scale = scale_;
+      for (double x : xs) {
+        const double scaled = x * scale;
+        if (!(std::fabs(scaled) < 0x1p62)) {
+          overflow = true;
+          continue;
+        }
+        if (add_overflows(mant, std::llrint(scaled))) overflow = true;
+      }
+    } else {
+      for (double x : xs) step(mant, overflow, x);
     }
-    if (add_overflows(mant_, round_to_int64(scaled))) overflow_ = true;
+    mant_ = mant;
+    overflow_ = overflow;
   }
 
   /// Merge another accumulator with the same block exponent (the
@@ -169,6 +199,18 @@ class BlockFloatAccumulator {
   }
 
  private:
+  /// One add() on a mantissa and flag held by the caller.
+  [[gnu::always_inline]] void step(std::int64_t& mant, bool& overflow, double x) const {
+    if (x == 0.0) return;
+    const double scaled =
+        scale_exact_ ? x * scale_ : std::ldexp(x, kFracBits - block_exp_);
+    if (!(std::fabs(scaled) < 0x1p62)) {
+      overflow = true;
+      return;
+    }
+    if (add_overflows(mant, round_to_int64(scaled))) overflow = true;
+  }
+
   std::int64_t mant_ = 0;
   int block_exp_ = 0;
   bool overflow_ = false;

@@ -119,17 +119,141 @@ class FloatFormat {
   int exp_max_;
 };
 
-/// Two doubles side by side: a GCC/Clang vector extension, one SSE2
-/// register at the baseline x86-64 ISA (no intrinsics, no -march).
-using Lanes = double __attribute__((vector_size(16)));
-/// Two 64-bit integer words: fixed-point coordinates, and the lane masks
+/// The widest Lanes<W> this host's CPU runs: 4 on an x86-64 CPU with the
+/// x86-64-v3 extensions the force kernel's wide function is built for
+/// (AVX2, FMA, BMI1/2; checked once per process), otherwise 2.
+int host_lane_width();
+
+/// The GCC/Clang vector types behind Lanes<W> and LaneInts<W>. (Declared
+/// apart: GCC applies a dependent vector_size only on instantiation, so a
+/// member of the class's own template would read as a plain scalar there.)
+template <int W>
+struct LaneVectors {
+  using Doubles [[gnu::vector_size(8 * W)]] = double;
+  using Bits [[gnu::vector_size(8 * W)]] = std::uint64_t;
+};
+
+/// W doubles side by side: the value type of the lane ops. A GCC/Clang
+/// vector extension held in a struct — one SSE2 register for W = 2 at the
+/// baseline x86-64 ISA, one AVX register for W = 4 in the force kernel's
+/// x86-64-v3 function (src/grape/pipeline.cpp). No intrinsics, no -march.
+///
+/// Every function that takes or returns lanes is always_inline, takes them
+/// by reference and returns the struct, never the bare vector: GCC checks
+/// the return ABI of each function at that function's own ISA, so a
+/// baseline-ISA template returning a bare 32-byte vector draws -Wpsabi
+/// even when it is only ever inlined into the wide function. A -Wpsabi
+/// diagnostic therefore means a wide vector really crossed a call.
+template <int W>
+struct Lanes {
+  using Vec = typename LaneVectors<W>::Doubles;
+  Vec v;
+
+  /// x on every lane.
+  [[gnu::always_inline]] static Lanes splat(double x) {
+    Lanes r{};
+    for (int l = 0; l < W; ++l) r.v[l] = x;
+    return r;
+  }
+  /// p[0..W) — unaligned.
+  [[gnu::always_inline]] static Lanes load(const double* p) {
+    Lanes r{};
+    __builtin_memcpy(&r.v, p, sizeof r.v);
+    return r;
+  }
+  [[gnu::always_inline]] void store(double* p) const {
+    __builtin_memcpy(p, &v, sizeof v);
+  }
+  [[gnu::always_inline]] double operator[](int l) const { return v[l]; }
+
+  [[gnu::always_inline]] friend Lanes operator-(const Lanes& a) {
+    return {-a.v};
+  }
+  [[gnu::always_inline]] friend Lanes operator+(const Lanes& a, const Lanes& b) {
+    return {a.v + b.v};
+  }
+  [[gnu::always_inline]] friend Lanes operator-(const Lanes& a, const Lanes& b) {
+    return {a.v - b.v};
+  }
+  [[gnu::always_inline]] friend Lanes operator*(const Lanes& a, const Lanes& b) {
+    return {a.v * b.v};
+  }
+  [[gnu::always_inline]] friend Lanes operator/(const Lanes& a, const Lanes& b) {
+    return {a.v / b.v};
+  }
+  [[gnu::always_inline]] friend Lanes operator*(const Lanes& a, double s) {
+    return {a.v * s};
+  }
+  [[gnu::always_inline]] friend Lanes operator*(double s, const Lanes& a) {
+    return {s * a.v};
+  }
+  [[gnu::always_inline]] friend Lanes operator/(const Lanes& a, double s) {
+    return {a.v / s};
+  }
+  [[gnu::always_inline]] friend Lanes operator/(double s, const Lanes& a) {
+    return {s / a.v};
+  }
+};
+
+/// W 64-bit integer words: fixed-point coordinates, and the lane masks
 /// (all ones = true) that compares on Lanes produce.
-using LaneInts = decltype(Lanes{} < Lanes{});
+template <int W>
+struct LaneInts {
+  using Vec = decltype(typename LaneVectors<W>::Doubles{} <
+                       typename LaneVectors<W>::Doubles{});
+  Vec v;
 
-/// std::sqrt on each lane.
-inline Lanes sqrt(Lanes a) { return Lanes{std::sqrt(a[0]), std::sqrt(a[1])}; }
+  [[gnu::always_inline]] static LaneInts splat(std::int64_t x) {
+    LaneInts r{};
+    for (int l = 0; l < W; ++l) r.v[l] = x;
+    return r;
+  }
+  [[gnu::always_inline]] static LaneInts load(const std::int64_t* p) {
+    LaneInts r{};
+    __builtin_memcpy(&r.v, p, sizeof r.v);
+    return r;
+  }
+  [[gnu::always_inline]] std::int64_t operator[](int l) const { return v[l]; }
+  /// True when some lane is nonzero.
+  [[gnu::always_inline]] bool any() const {
+    std::int64_t r = 0;
+    for (int l = 0; l < W; ++l) r |= v[l];
+    return r != 0;
+  }
 
-/// FloatFormat's arithmetic units on two values at once — the lane ops of
+  [[gnu::always_inline]] friend LaneInts operator&(const LaneInts& a,
+                                                     const LaneInts& b) {
+    return {a.v & b.v};
+  }
+  [[gnu::always_inline]] friend LaneInts operator|(const LaneInts& a,
+                                                     const LaneInts& b) {
+    return {a.v | b.v};
+  }
+  [[gnu::always_inline]] LaneInts& operator|=(const LaneInts& b) {
+    v |= b.v;
+    return *this;
+  }
+};
+
+/// std::sqrt on each lane: one packed square root where the build lets
+/// sqrt skip errno (src/CMakeLists.txt).
+template <int W>
+[[gnu::always_inline]] inline Lanes<W> sqrt(const Lanes<W>& a) {
+  Lanes<W> r{};
+  for (int l = 0; l < W; ++l) r.v[l] = std::sqrt(a.v[l]);
+  return r;
+}
+
+/// +0.0 on every lane whose mask is zero, a's value elsewhere.
+template <int W>
+[[gnu::always_inline]] inline Lanes<W> select(const LaneInts<W>& mask,
+                                              const Lanes<W>& a) {
+  using Ints = typename LaneInts<W>::Vec;
+  return {__builtin_bit_cast(typename Lanes<W>::Vec,
+                             mask.v & __builtin_bit_cast(Ints, a.v))};
+}
+
+/// FloatFormat's arithmetic units on W values at once — the lane ops of
 /// the pipeline kernels (src/grape/pipeline.cpp).
 ///
 /// Each op rounds with the bare round-to-nearest-even bit step of
@@ -139,8 +263,16 @@ inline Lanes sqrt(Lanes a) { return Lanes{std::sqrt(a[0]), std::sqrt(a[1])}; }
 /// flags its lane instead of being handled, and the caller recomputes
 /// flagged work with the scalar ops. On every unflagged lane the result is
 /// bit-identical to the scalar op (tests/util/softfloat_test.cpp).
+///
+/// Build one per format and copy or convert it where the ops run: the
+/// constructor does the format's ldexp work, a copy or a change of width
+/// moves a few words.
+template <int W>
 class LaneFormat {
  public:
+  using V = Lanes<W>;
+  using M = LaneInts<W>;
+
   /// Formats the deferred check covers: narrower than double, a finite
   /// max_value(), and a smallest normal above 2^-1022. The bit step can
   /// round a subnormal double up to 2^-1022 where the scalar op flushes
@@ -151,65 +283,80 @@ class LaneFormat {
   }
 
   explicit LaneFormat(const FloatFormat& f)
-      : min_normal_{f.min_normal(), f.min_normal()},
-        max_value_{f.max_value(), f.max_value()} {
+      : min_normal_(f.min_normal()), max_value_(f.max_value()) {
     G6_REQUIRE_MSG(supports(f), "lane ops need a normal-range format below double");
     shift_ = 52 - f.frac_bits();
     half_minus_one_ = (std::uint64_t{1} << (shift_ - 1)) - 1;
     keep_ = ~((std::uint64_t{1} << shift_) - 1);
   }
 
-  Lanes quantize(Lanes x) { return check(x, round(x)); }
-  Lanes add(Lanes a, Lanes b) { return quantize(a + b); }
-  Lanes sub(Lanes a, Lanes b) { return quantize(a - b); }
-  Lanes mul(Lanes a, Lanes b) { return quantize(a * b); }
-  Lanes mul(Lanes a, double s) { return quantize(a * s); }
-  Lanes div(Lanes a, Lanes b) { return quantize(a / b); }
-  Lanes div(Lanes a, double s) { return quantize(a / s); }
+  /// The same format's ops at width W, flags cleared.
+  template <int U>
+  explicit LaneFormat(const LaneFormat<U>& o)
+      : min_normal_(o.min_normal_),
+        max_value_(o.max_value_),
+        shift_(o.shift_),
+        half_minus_one_(o.half_minus_one_),
+        keep_(o.keep_) {}
 
-  /// rsqrt() on two lanes. A zero operand clamps to max_value() by a
+  [[gnu::always_inline]] V quantize(const V& x) { return check(x.v, round(x.v)); }
+  [[gnu::always_inline]] V add(const V& a, const V& b) { return quantize(a + b); }
+  [[gnu::always_inline]] V sub(const V& a, const V& b) { return quantize(a - b); }
+  [[gnu::always_inline]] V mul(const V& a, const V& b) { return quantize(a * b); }
+  [[gnu::always_inline]] V mul(const V& a, double s) { return quantize(a * s); }
+  [[gnu::always_inline]] V div(const V& a, const V& b) { return quantize(a / b); }
+  [[gnu::always_inline]] V div(const V& a, double s) { return quantize(a / s); }
+
+  /// rsqrt() on W lanes. A zero operand clamps to max_value() by a
   /// select; a negative or NaN operand — where the scalar op's
   /// precondition fails — flags its lane, so the scalar recompute raises
   /// the scalar op's PreconditionError.
-  Lanes rsqrt(Lanes a) {
-    ok_ &= a >= Lanes{};
-    const Lanes q = 1.0 / sqrt(a);
-    const LaneInts zero = a == Lanes{};
-    const LaneInts r = (zero & std::bit_cast<LaneInts>(max_value_)) |
-                       (~zero & std::bit_cast<LaneInts>(round(q)));
-    return check(q, std::bit_cast<Lanes>(r));
+  [[gnu::always_inline]] V rsqrt(const V& a) {
+    ok_ &= a.v >= Vec{};
+    const Vec q = (1.0 / sqrt(a)).v;
+    const MVec zero = a.v == Vec{};
+    const MVec r = (zero & __builtin_bit_cast(MVec, V::splat(max_value_).v)) |
+                   (~zero & __builtin_bit_cast(MVec, round(q).v));
+    return check(q, {__builtin_bit_cast(Vec, r)});
   }
 
   /// All-ones on each lane flagged since the last call; re-arms the check.
-  LaneInts take_flagged() {
-    const LaneInts flagged = ~ok_;
-    ok_ = ~LaneInts{};
+  [[gnu::always_inline]] M take_flagged() {
+    const M flagged{~ok_};
+    ok_ = ~MVec{};
     return flagged;
   }
 
  private:
-  using LaneBits = std::uint64_t __attribute__((vector_size(16)));
+  using Vec = typename V::Vec;
+  using MVec = typename M::Vec;
+  using Bits = typename LaneVectors<W>::Bits;
 
   /// quantize()'s round-to-nearest-even step, without its range exits.
-  Lanes round(Lanes x) const {
-    const LaneBits b = std::bit_cast<LaneBits>(x);
-    return std::bit_cast<Lanes>((b + half_minus_one_ + ((b >> shift_) & 1U)) & keep_);
+  [[gnu::always_inline]] V round(const Vec& x) const {
+    const Bits b = __builtin_bit_cast(Bits, x);
+    return {
+        __builtin_bit_cast(Vec, (b + half_minus_one_ + ((b >> shift_) & 1U)) & keep_)};
   }
 
   /// Keep lane k unflagged iff r[k] is a normal number of the format, or
   /// the unrounded x[k] is +-0. Testing x rather than r for zero matters:
   /// the bit step can carry a NaN's payload into the sign bit and leave
   /// -0, which must still be flagged.
-  Lanes check(Lanes x, Lanes r) {
-    const Lanes mag = std::bit_cast<Lanes>(std::bit_cast<LaneBits>(r) &
-                                           0x7fffffffffffffffULL);
-    ok_ &= ((min_normal_ <= mag) & (mag <= max_value_)) | (x == Lanes{});
+  [[gnu::always_inline]] V check(const Vec& x, const V& r) {
+    const Vec mag =
+        __builtin_bit_cast(Vec, __builtin_bit_cast(Bits, r.v) & 0x7fffffffffffffffULL);
+    ok_ &= ((V::splat(min_normal_).v <= mag) & (mag <= V::splat(max_value_).v)) |
+           (x == Vec{});
     return r;
   }
 
-  Lanes min_normal_;
-  Lanes max_value_;
-  LaneInts ok_ = ~LaneInts{};
+  template <int U>
+  friend class LaneFormat;
+
+  double min_normal_;
+  double max_value_;
+  MVec ok_ = ~MVec{};
   int shift_ = 0;
   std::uint64_t half_minus_one_ = 0;
   std::uint64_t keep_ = 0;

@@ -8,10 +8,14 @@
 // shapes, and at any thread count. This is the contract that lets the
 // kernel change without invalidating a single recorded snapshot.
 //
-// The kernel evaluates blocks of j two at a time with lane ops and
-// recomputes a block with the scalar ops when a lane leaves the format's
-// normal range; the corpus below drives both paths, their mix within one
-// accumulator, the r^2 = 0 clamp and the precondition errors. A committed
+// The kernel evaluates blocks of j W at a time with lane ops (W = 4 where
+// the CPU runs x86-64-v3 code, else 2; full groups of 4, the rest in
+// two-lane steps) and recomputes a block with the scalar ops when a lane
+// leaves the format's normal range; the corpus below drives both paths,
+// their mix within one accumulator, the r^2 = 0 clamp and the
+// precondition errors. The tests without a width run the host's default
+// kernel; the KernelWidth suite forces each width through a test hook
+// (and skips four lanes on a CPU without them). A committed
 // golden fixture (data/pipeline_golden.txt) pins the accumulator words and
 // neighbor lists themselves, so a change that moved the kernel and the
 // scalar reference together would still fail.
@@ -124,19 +128,28 @@ std::vector<IParticlePacket> make_iblock(const NumberFormats& fmt,
   return iblock;
 }
 
-/// One chip and i-block as above, driven once through Chip::run_pass and
-/// once through reference_pass, each from its own reset bank.
+/// A chip loaded with the first `n_j` of `js`, driven over `iblock` once
+/// through Chip::run_pass and once through reference_pass, each from its
+/// own reset bank.
+PassPair run_iblock(const MachineConfig& mc, const NumberFormats& fmt,
+                    const std::vector<JParticle>& js, std::size_t n_j,
+                    const std::vector<IParticlePacket>& iblock, double t,
+                    double eps2, std::size_t fifo) {
+  Chip chip(mc, fmt);
+  load_chip(chip, fmt, js, n_j);
+  PassPair p{reset_bank(iblock.size(), fifo), reset_bank(iblock.size(), fifo)};
+  chip.run_pass(t, iblock, eps2, p.kernel.acc, p.kernel.nb);
+  reference_pass(chip, mc, fmt, t, iblock, eps2, p.reference);
+  return p;
+}
+
+/// run_iblock over the first `n_i` of `js`.
 PassPair run_both(const MachineConfig& mc, const NumberFormats& fmt,
                   const std::vector<JParticle>& js, std::size_t n_j,
                   std::size_t n_i, double t, double eps2, std::size_t fifo,
                   double h2) {
-  Chip chip(mc, fmt);
-  load_chip(chip, fmt, js, n_j);
-  const auto iblock = make_iblock(fmt, js, n_i, fifo, h2);
-  PassPair p{reset_bank(n_i, fifo), reset_bank(n_i, fifo)};
-  chip.run_pass(t, iblock, eps2, p.kernel.acc, p.kernel.nb);
-  reference_pass(chip, mc, fmt, t, iblock, eps2, p.reference);
-  return p;
+  return run_iblock(mc, fmt, js, n_j, make_iblock(fmt, js, n_i, fifo, h2), t, eps2,
+                    fifo);
 }
 
 void expect_bit_identical(const PassResult& a, const PassResult& b) {
@@ -375,10 +388,10 @@ void golden_corpus(std::ostream& kernel, std::ostream& reference) {
   }
 }
 
-TEST(PipelineCrosscheck, GoldenFixtureMatchesKernelAndReference) {
-  // data/pipeline_golden.txt was written by the scalar reference path
-  // before the two-stage kernel existed. On a mismatch the kernel's dump
-  // is written next to the test binary for inspection.
+/// data/pipeline_golden.txt was written by the scalar reference path
+/// before the two-stage kernel existed. On a mismatch the kernel's dump is
+/// written next to the test binary for inspection.
+void expect_golden_fixture() {
   std::ifstream in(G6_GOLDEN_FIXTURE);
   std::stringstream golden;
   golden << in.rdbuf();
@@ -402,6 +415,10 @@ TEST(PipelineCrosscheck, GoldenFixtureMatchesKernelAndReference) {
     }
     FAIL() << "kernel output differs from the golden fixture";
   }
+}
+
+TEST(PipelineCrosscheck, GoldenFixtureMatchesKernelAndReference) {
+  expect_golden_fixture();
 }
 
 /// Full-engine forces on a 2-board machine.
@@ -443,6 +460,135 @@ TEST(PipelineCrosscheck, BatchedBitIdenticalAcrossThreadCounts) {
     }
   }
 }
+
+// --- each stage-1 width ------------------------------------------------------
+
+/// Runs each test at the stage-1 width of its parameter: pipelines built
+/// while the test runs (every Chip it makes) take that width.
+class KernelWidth : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    if (GetParam() > host_lane_width()) {
+      GTEST_SKIP() << "four-lane kernel needs an x86-64 CPU with AVX2, FMA and "
+                      "BMI1/2 (x86-64-v3); this one runs two lanes only";
+    }
+    ASSERT_TRUE(test_hooks::force_lane_width(GetParam()));
+    ASSERT_EQ(ForcePipeline(NumberFormats{}).lane_width(), GetParam());
+  }
+  void TearDown() override { test_hooks::force_lane_width(0); }
+};
+
+/// An i-block of the js at `slots`, each keeping its slot as its index (so
+/// its own j-slot is the self slot).
+std::vector<IParticlePacket> iblock_at(const NumberFormats& fmt,
+                                       const std::vector<JParticle>& js,
+                                       const std::vector<std::size_t>& slots,
+                                       double h2) {
+  std::vector<IParticlePacket> iblock;
+  for (std::size_t k : slots) {
+    PredictedState s;
+    s.index = static_cast<std::uint32_t>(k);
+    s.pos = js[k].pos;
+    s.vel = js[k].vel;
+    iblock.push_back(quantize_i_particle(s, fmt));
+    iblock.back().h2 = h2;
+  }
+  return iblock;
+}
+
+TEST_P(KernelWidth, MatchesScalarForEveryJCount) {
+  // Every remainder of a 64-slot block (0-3 slots after the full groups,
+  // an odd last slot), in two blocks, in the hardware and exact formats.
+  const auto js = random_js(130, 0x1130);
+  const MachineConfig mc;
+  for (const auto& fmt : {NumberFormats{}, NumberFormats::exact()}) {
+    for (std::size_t n_j = 1; n_j <= js.size(); ++n_j) {
+      SCOPED_TRACE(::testing::Message() << "n_j=" << n_j << " exact="
+                                        << (fmt.pipeline.frac_bits() >= 52));
+      const auto p = run_both(mc, fmt, js, n_j, mc.i_parallelism(), 0.125, 1e-4,
+                              n_j % 2 == 0 ? 0 : 256, 0.5);
+      expect_bit_identical(p.kernel, p.reference);
+    }
+  }
+}
+
+TEST_P(KernelWidth, SelfSlotAtEveryLanePosition) {
+  // Each j-slot of the memory in turn is some i-particle's own slot: every
+  // lane of every full group, and every slot of the two-lane remainder.
+  const auto js = random_js(130, 0x5e1f);
+  const MachineConfig mc;
+  for (std::size_t n_j : {67u, 69u, 71u, 129u, 130u}) {
+    for (std::size_t first = 0; first < n_j; first += mc.i_parallelism()) {
+      std::vector<std::size_t> slots;
+      for (std::size_t k = first; k < std::min(n_j, first + mc.i_parallelism()); ++k) {
+        slots.push_back(k);
+      }
+      SCOPED_TRACE(::testing::Message() << "n_j=" << n_j << " first=" << first);
+      const NumberFormats fmt;
+      const auto p = run_iblock(mc, fmt, js, n_j, iblock_at(fmt, js, slots, 0.5),
+                                0.125, 1e-4, 256);
+      expect_bit_identical(p.kernel, p.reference);
+    }
+  }
+}
+
+TEST_P(KernelWidth, FlaggedLaneAtEveryPosition) {
+  // One j close enough to the i-particle that rinv^2 saturates, the rest
+  // far enough that nothing does: the flagged lane sits at each position
+  // of a full group and of the remainder (71 slots = 64 + one group of 4
+  // + 3 left over), and its block is recomputed with the scalar ops.
+  NumberFormats fmt;
+  fmt.pipeline = FloatFormat(12, -62, 5);
+  fmt.velocity = fmt.pipeline;
+  fmt.predictor = fmt.pipeline;
+  const double near = 0.05;
+  ASSERT_EQ(fmt.pipeline.quantize(1.0 / (near * near)), fmt.pipeline.max_value());
+  Rng rng(0xf1a9);
+  std::vector<JParticle> base(71);
+  for (auto& p : base) {
+    p.mass = 1.0 / 128.0;
+    const double r = rng.uniform(0.5, 0.9);
+    const double phi = rng.uniform(0.0, 6.0);
+    p.pos = {r * std::cos(phi), r * std::sin(phi), rng.uniform(-0.1, 0.1)};
+    p.vel = {rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)};
+  }
+  PredictedState origin;
+  origin.index = 1000;  // not a j-slot: no self slot
+  std::vector<IParticlePacket> iblock = {quantize_i_particle(origin, fmt)};
+  iblock[0].h2 = 0.5;
+  const MachineConfig mc;
+  for (std::size_t at = 0; at < base.size(); ++at) {
+    SCOPED_TRACE(::testing::Message() << "near slot " << at);
+    auto js = base;
+    js[at].pos = {near, 0.0, 0.0};
+    const auto p = run_iblock(mc, fmt, js, js.size(), iblock, 0.0, 1e-6, 8);
+    expect_bit_identical(p.kernel, p.reference);
+    ASSERT_TRUE(p.kernel.nb[0].has_nearest);
+    EXPECT_EQ(p.kernel.nb[0].nearest, at);
+  }
+}
+
+TEST_P(KernelWidth, NeighborFifoOverflowMatchesReference) {
+  // A neighbor radius around everything and a chip FIFO of 8: the lists
+  // overflow early in the first block and the flag must match.
+  const auto js = random_js(130, 0xf1f0);
+  MachineConfig mc;
+  mc.neighbor_buffer_per_chip = 8;
+  const NumberFormats fmt;
+  const auto p = run_both(mc, fmt, js, js.size(), 7, 0.125, 1e-4, 256, 16.0);
+  expect_bit_identical(p.kernel, p.reference);
+  for (const auto& nb : p.kernel.nb) {
+    EXPECT_TRUE(nb.overflow);
+    EXPECT_EQ(nb.indices.size(), 8u);
+  }
+}
+
+TEST_P(KernelWidth, GoldenFixtureMatchesKernelAndReference) { expect_golden_fixture(); }
+
+INSTANTIATE_TEST_SUITE_P(Lanes, KernelWidth, ::testing::Values(2, 4),
+                         [](const ::testing::TestParamInfo<int>& i) {
+                           return "W" + std::to_string(i.param);
+                         });
 
 TEST(PipelineCrosscheck, QuantizeFastPathMatchesReferenceOracle) {
   const FloatFormat fmts[] = {formats::pipeline(), formats::velocity(),

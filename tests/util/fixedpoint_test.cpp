@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -220,6 +221,56 @@ TEST(BlockFloatAccumulator, ResolutionDependsOnBlockExponent) {
   coarse.add(tiny);
   EXPECT_GT(fine.value(), 0.0);
   EXPECT_EQ(coarse.value(), 0.0);
+}
+
+TEST(BlockFloatAccumulator, ScaleIsExactPowerOfTwoAcrossTheWindow) {
+  // reset() builds 2^k from its exponent bits inside the window where the
+  // cached scale is a normal double, and leaves add() on ldexp outside it.
+  BlockFloatAccumulator acc;
+  for (int k = -1021; k <= 1023; ++k) {
+    acc.reset(BlockFloatAccumulator::kFracBits - k);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(acc.scale()),
+              std::bit_cast<std::uint64_t>(std::ldexp(1.0, k)))
+        << "k=" << k;
+  }
+  for (int k : {-1100, -1022, 1024, 1100}) {
+    acc.reset(BlockFloatAccumulator::kFracBits - k);
+    EXPECT_EQ(acc.scale(), 0.0) << "k=" << k;
+  }
+}
+
+TEST(BlockFloatAccumulator, AddRunMatchesAddsInOrder) {
+  // A run of adds held in registers: the same mantissa and the same
+  // overflow flag as add() one by one, through zeros, a sum that
+  // overflows and is refused, an out-of-range addend, and block exponents
+  // inside and outside the cached-scale window.
+  Rng rng(0xadd5);
+  std::vector<double> xs;
+  for (int i = 0; i < 500; ++i) {
+    const int e = static_cast<int>(rng.uniform(-30, 6));
+    xs.push_back(i % 7 == 0 ? 0.0 : std::ldexp(rng.uniform(-1.0, 1.0), e));
+  }
+  // Addends that land on rounding ties, and ones past 2^52 and 2^62 on the
+  // grid, at block exponent 0 (grid 2^-56).
+  for (double m :
+       {0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 0x1p52 + 1.0, -0x1p53, 0x1p61, 0x1p62}) {
+    xs.push_back(m * 0x1p-56);
+  }
+  xs.push_back(0x1p68);  // overflows the sum at block exponent 8
+  xs.push_back(-0x1p5);
+  xs.push_back(std::numeric_limits<double>::infinity());
+  xs.push_back(0x1p-3);
+  for (int block_exp : {-1100, -40, 0, 8, 12, 1100}) {
+    BlockFloatAccumulator one(block_exp);
+    for (double x : xs) one.add(x);
+    for (std::size_t cut : {std::size_t{0}, std::size_t{250}, xs.size()}) {
+      BlockFloatAccumulator run(block_exp);
+      run.add_run({xs.data(), cut});
+      run.add_run({xs.data() + cut, xs.size() - cut});
+      EXPECT_EQ(run.mantissa(), one.mantissa()) << block_exp << ' ' << cut;
+      EXPECT_EQ(run.overflow(), one.overflow()) << block_exp << ' ' << cut;
+    }
+  }
 }
 
 TEST(ChooseBlockExponent, GivesHeadroomMargin) {

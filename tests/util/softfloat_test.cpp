@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -138,88 +139,222 @@ void expect_lane(double lane, bool flagged, double scalar, const char* op,
       << op << '(' << std::hexfloat << a << ", " << b << ')';
 }
 
-TEST(LaneFormat, UnflaggedLanesMatchScalarOps) {
+/// The binary lane ops under test, in LaneResults order.
+constexpr const char* kLaneOps[] = {"quantize", "add",  "sub",  "mul",
+                                    "mul3",     "div", "rsqrt"};
+constexpr int kNumLaneOps = 7;
+
+/// Lane-op results over the probes, computed at one width, compared at
+/// the baseline ISA. Group i puts a[l] = probes[i + l] and
+/// b[l] = probes[i + (l + 1) % W] on lane l.
+struct LaneResults {
+  int width = 0;
+  std::vector<double> a, b;                       // per (group, lane)
+  std::vector<double> value[kNumLaneOps];         // per (group, lane)
+  std::vector<std::uint8_t> flagged[kNumLaneOps];
+};
+
+template <int W>
+[[gnu::always_inline]] inline void run_lane_ops(const FloatFormat& f,
+                                                const std::vector<double>& probes,
+                                                LaneResults& r) {
+  r.width = W;
+  LaneFormat<W> lanes(f);
+  const auto keep = [&](int op, const Lanes<W>& v) {
+    const LaneInts<W> m = lanes.take_flagged();
+    for (int l = 0; l < W; ++l) {
+      r.value[op].push_back(v[l]);
+      r.flagged[op].push_back(m[l] != 0);
+    }
+  };
+  for (std::size_t i = 0; i + W <= probes.size(); ++i) {
+    Lanes<W> va;
+    Lanes<W> vb;
+    for (int l = 0; l < W; ++l) {
+      va.v[l] = probes[i + static_cast<std::size_t>(l)];
+      vb.v[l] = probes[i + static_cast<std::size_t>((l + 1) % W)];
+      r.a.push_back(va.v[l]);
+      r.b.push_back(vb.v[l]);
+    }
+    keep(0, lanes.quantize(va));
+    keep(1, lanes.add(va, vb));
+    keep(2, lanes.sub(va, vb));
+    keep(3, lanes.mul(va, vb));
+    keep(4, lanes.mul(va, 3.0));
+    keep(5, lanes.div(va, vb));
+    keep(6, lanes.rsqrt(va));
+  }
+}
+
+/// What the flag checks read: lane 0 holds the probe, every other lane an
+/// in-range 1.0 that must stay clean.
+struct FlagResults {
+  std::vector<std::uint8_t> probe_flagged;
+  bool partners_clean = true;
+  double rsqrt_zero = 0.0;  ///< rsqrt of lane 0 = 0, lane 1 = 4
+  double rsqrt_four = 0.0;
+  bool rsqrt_zero_flagged = true;
+  bool bad_rsqrt_flagged = false;  ///< lanes -1 and NaN both flag
+};
+
+template <int W>
+[[gnu::always_inline]] inline void run_flag_checks(const FloatFormat& f,
+                                                   const std::vector<double>& xs,
+                                                   FlagResults& r) {
+  LaneFormat<W> lanes(f);
+  for (double x : xs) {
+    Lanes<W> v = Lanes<W>::splat(1.0);
+    v.v[0] = x;
+    lanes.quantize(v);
+    const LaneInts<W> m = lanes.take_flagged();
+    r.probe_flagged.push_back(m[0] != 0);
+    for (int l = 1; l < W; ++l) r.partners_clean = r.partners_clean && m[l] == 0;
+  }
+  Lanes<W> z = Lanes<W>::splat(4.0);
+  z.v[0] = 0.0;
+  const Lanes<W> q = lanes.rsqrt(z);
+  const LaneInts<W> zm = lanes.take_flagged();
+  r.rsqrt_zero_flagged = zm.any();
+  r.rsqrt_zero = q[0];
+  r.rsqrt_four = q[1];
+  Lanes<W> bad = Lanes<W>::splat(-1.0);
+  bad.v[1] = std::numeric_limits<double>::quiet_NaN();
+  lanes.rsqrt(bad);
+  const LaneInts<W> bm = lanes.take_flagged();
+  r.bad_rsqrt_flagged = true;
+  for (int l = 0; l < W; ++l) r.bad_rsqrt_flagged = r.bad_rsqrt_flagged && bm[l] != 0;
+}
+
+void lane_ops_at_2(const FloatFormat& f, const std::vector<double>& probes,
+                   LaneResults& r) {
+  run_lane_ops<2>(f, probes, r);
+}
+void flag_checks_at_2(const FloatFormat& f, const std::vector<double>& xs,
+                      FlagResults& r) {
+  run_flag_checks<2>(f, xs, r);
+}
+#if defined(__x86_64__)
+// Four lanes as the force kernel runs them: in an x86-64-v3 function,
+// called only where host_lane_width() is 4.
+[[gnu::target("arch=x86-64-v3")]] void lane_ops_at_4(const FloatFormat& f,
+                                                     const std::vector<double>& probes,
+                                                     LaneResults& r) {
+  run_lane_ops<4>(f, probes, r);
+}
+[[gnu::target("arch=x86-64-v3")]] void flag_checks_at_4(const FloatFormat& f,
+                                                        const std::vector<double>& xs,
+                                                        FlagResults& r) {
+  run_flag_checks<4>(f, xs, r);
+}
+#endif
+
+/// Skips the calling test when this host cannot run four-lane code.
+#define SKIP_WITHOUT_WIDE_LANES()                                               \
+  if (host_lane_width() < 4)                                                    \
+  GTEST_SKIP() << "four-lane ops need an x86-64 CPU with AVX2, FMA and BMI1/2 " \
+                  "(x86-64-v3); this one runs two lanes only"
+
+void expect_unflagged_lanes_match(int width) {
   const FloatFormat fmts[] = {formats::pipeline(), formats::predictor(),
                               FloatFormat(4, -8, 7), FloatFormat(12, -20, 63),
                               FloatFormat(51, -1020, 1024)};
   const auto probes = lane_probes();
   for (const auto& f : fmts) {
-    ASSERT_TRUE(LaneFormat::supports(f));
-    LaneFormat lanes(f);
-    for (std::size_t i = 0; i + 1 < probes.size(); ++i) {
-      const double a = probes[i];
-      const double b = probes[i + 1];
-      const Lanes va = {a, b};
-      const Lanes vb = {b, a};
-      const auto check = [&](Lanes r, const char* op, auto scalar) {
-        const LaneInts flagged = lanes.take_flagged();
-        expect_lane(r[0], flagged[0] != 0, scalar(a, b), op, a, b);
-        expect_lane(r[1], flagged[1] != 0, scalar(b, a), op, b, a);
+    ASSERT_TRUE(LaneFormat<2>::supports(f));
+    LaneResults r;
+    if (width == 2) lane_ops_at_2(f, probes, r);
+#if defined(__x86_64__)
+    if (width == 4) lane_ops_at_4(f, probes, r);
+#endif
+    ASSERT_EQ(r.width, width);
+    for (std::size_t i = 0; i < r.a.size(); ++i) {
+      const double a = r.a[i];
+      const double b = r.b[i];
+      const auto check = [&](int op, double scalar, double b_shown) {
+        expect_lane(r.value[op][i], r.flagged[op][i] != 0, scalar, kLaneOps[op], a,
+                    b_shown);
       };
-      check(lanes.quantize(va), "quantize", [&](double x, double) { return f.quantize(x); });
-      check(lanes.add(va, vb), "add", [&](double x, double y) { return f.add(x, y); });
-      check(lanes.sub(va, vb), "sub", [&](double x, double y) { return f.sub(x, y); });
-      check(lanes.mul(va, vb), "mul", [&](double x, double y) { return f.mul(x, y); });
-      check(lanes.mul(va, 3.0), "mul3", [&](double x, double) { return f.mul(x, 3.0); });
-      check(lanes.div(va, vb), "div", [&](double x, double y) { return f.div(x, y); });
+      check(0, f.quantize(a), b);
+      check(1, f.add(a, b), b);
+      check(2, f.sub(a, b), b);
+      check(3, f.mul(a, b), b);
+      check(4, f.mul(a, 3.0), 3.0);
+      check(5, f.div(a, b), b);
       // The scalar rsqrt throws on a negative or NaN operand; the lane op
       // must flag those lanes.
-      const Lanes r = lanes.rsqrt(va);
-      const LaneInts flagged = lanes.take_flagged();
-      for (int l = 0; l < 2; ++l) {
-        if (!(va[l] >= 0.0)) {
-          EXPECT_NE(flagged[l], 0) << "rsqrt(" << std::hexfloat << va[l] << ')';
-        } else {
-          expect_lane(r[l], flagged[l] != 0, f.rsqrt(va[l]), "rsqrt", va[l], 0.0);
-        }
+      if (!(a >= 0.0)) {
+        EXPECT_NE(r.flagged[6][i], 0) << "rsqrt(" << std::hexfloat << a << ')';
+      } else {
+        check(6, f.rsqrt(a), 0.0);
       }
     }
   }
 }
 
-TEST(LaneFormat, FlagsExactlyTheOutOfRangeResults) {
+void expect_exact_out_of_range_flags(int width) {
   const FloatFormat f(8, -10, 10);
-  LaneFormat lanes(f);
-  const auto flagged = [&](double x) {
-    lanes.quantize(Lanes{x, 1.0});
-    const LaneInts m = lanes.take_flagged();
-    EXPECT_EQ(m[1], 0);  // the in-range partner lane stays clean
-    return m[0] != 0;
+  // Zero and in-range normals take the lane path; flush, saturation,
+  // subnormal doubles, inf and NaN do not.
+  const std::vector<std::pair<double, bool>> cases = {
+      {0.0, false},
+      {-0.0, false},
+      {f.min_normal(), false},
+      {-f.max_value(), false},
+      {1.0 / 3.0, false},
+      {std::ldexp(1.0, -20), true},
+      {std::ldexp(1.0, 40), true},
+      {std::nextafter(f.max_value(), 1e300), false},  // rounds to max
+      {f.max_value() + 1.0, true},  // the tie above max rounds past it
+      {5e-324, true},
+      {std::numeric_limits<double>::infinity(), true},
+      {std::bit_cast<double>(0x7fffffffffffffffULL), true},
   };
-  // Zero and in-range normals take the lane path...
-  EXPECT_FALSE(flagged(0.0));
-  EXPECT_FALSE(flagged(-0.0));
-  EXPECT_FALSE(flagged(f.min_normal()));
-  EXPECT_FALSE(flagged(-f.max_value()));
-  EXPECT_FALSE(flagged(1.0 / 3.0));
-  // ...flush, saturation, subnormal doubles, inf and NaN do not.
-  EXPECT_TRUE(flagged(std::ldexp(1.0, -20)));
-  EXPECT_TRUE(flagged(std::ldexp(1.0, 40)));
-  EXPECT_FALSE(flagged(std::nextafter(f.max_value(), 1e300)));  // rounds to max
-  EXPECT_TRUE(flagged(f.max_value() + 1.0));  // the tie above max rounds past it
-  EXPECT_TRUE(flagged(5e-324));
-  EXPECT_TRUE(flagged(std::numeric_limits<double>::infinity()));
-  EXPECT_TRUE(flagged(std::bit_cast<double>(0x7fffffffffffffffULL)));
+  std::vector<double> xs;
+  for (const auto& c : cases) xs.push_back(c.first);
+  FlagResults r;
+  if (width == 2) flag_checks_at_2(f, xs, r);
+#if defined(__x86_64__)
+  if (width == 4) flag_checks_at_4(f, xs, r);
+#endif
+  ASSERT_EQ(r.probe_flagged.size(), cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(r.probe_flagged[i] != 0, cases[i].second)
+        << std::hexfloat << cases[i].first;
+  }
+  EXPECT_TRUE(r.partners_clean);  // the in-range partner lanes stay clean
   // rsqrt: a zero operand clamps to max_value() without a flag; negative
   // and NaN operands flag.
-  const Lanes r = lanes.rsqrt(Lanes{0.0, 4.0});
-  EXPECT_EQ(lanes.take_flagged()[0], 0);
-  EXPECT_EQ(r[0], f.max_value());
-  EXPECT_EQ(r[1], 0.5);
-  lanes.rsqrt(Lanes{-1.0, std::numeric_limits<double>::quiet_NaN()});
-  const LaneInts bad = lanes.take_flagged();
-  EXPECT_NE(bad[0], 0);
-  EXPECT_NE(bad[1], 0);
+  EXPECT_FALSE(r.rsqrt_zero_flagged);
+  EXPECT_EQ(r.rsqrt_zero, f.max_value());
+  EXPECT_EQ(r.rsqrt_four, 0.5);
+  EXPECT_TRUE(r.bad_rsqrt_flagged);
+}
+
+TEST(LaneFormat, UnflaggedLanesMatchScalarOps) { expect_unflagged_lanes_match(2); }
+
+TEST(LaneFormat, FourLanesMatchScalarOps) {
+  SKIP_WITHOUT_WIDE_LANES();
+  expect_unflagged_lanes_match(4);
+}
+
+TEST(LaneFormat, FlagsExactlyTheOutOfRangeResults) {
+  expect_exact_out_of_range_flags(2);
+}
+
+TEST(LaneFormat, FourLanesFlagExactlyTheOutOfRangeResults) {
+  SKIP_WITHOUT_WIDE_LANES();
+  expect_exact_out_of_range_flags(4);
 }
 
 TEST(LaneFormat, SupportsOnlyNormalRangeFormatsBelowDouble) {
-  EXPECT_TRUE(LaneFormat::supports(formats::pipeline()));
-  EXPECT_FALSE(LaneFormat::supports(formats::ieee_double()));
-  EXPECT_FALSE(LaneFormat::supports(FloatFormat(-1, -126, 127)));
-  EXPECT_FALSE(LaneFormat::supports(FloatFormat(24, -1022, 127)));
-  EXPECT_FALSE(LaneFormat::supports(FloatFormat(51, -1021, 1024)));
-  EXPECT_FALSE(LaneFormat::supports(FloatFormat(24, -126, 1025)));
-  EXPECT_THROW(LaneFormat{formats::ieee_double()}, PreconditionError);
+  EXPECT_TRUE(LaneFormat<2>::supports(formats::pipeline()));
+  EXPECT_FALSE(LaneFormat<2>::supports(formats::ieee_double()));
+  EXPECT_FALSE(LaneFormat<2>::supports(FloatFormat(-1, -126, 127)));
+  EXPECT_FALSE(LaneFormat<2>::supports(FloatFormat(24, -1022, 127)));
+  EXPECT_FALSE(LaneFormat<2>::supports(FloatFormat(51, -1021, 1024)));
+  EXPECT_FALSE(LaneFormat<2>::supports(FloatFormat(24, -126, 1025)));
+  EXPECT_THROW(LaneFormat<2>{formats::ieee_double()}, PreconditionError);
+  EXPECT_THROW(LaneFormat<4>{formats::ieee_double()}, PreconditionError);
 }
 
 // A 64-bit width field leaves the struct without padding. gtest names each
