@@ -65,6 +65,10 @@ class Fields {
 
   explicit operator bool() const { return ok_; }
 
+  /// Bytes not yet consumed: every record still to come takes at least
+  /// one, so a count above this cannot be honest.
+  std::size_t remaining() const { return text_.size() - pos_; }
+
  private:
   static bool is_blank(char c) {
     return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' ||
@@ -206,6 +210,10 @@ RunCheckpoint parse_body(Fields& in) {
   std::size_t n = 0;
   in >> n;
   if (!in) throw FaultError("checkpoint: truncated header");
+  // Bound the allocation by the file before trusting the count.
+  if (n > in.remaining()) {
+    throw FaultError("checkpoint: particle count exceeds the file");
+  }
 
   s.particles.resize(n);
   s.dt.resize(n);
@@ -229,6 +237,9 @@ RunCheckpoint parse_body(Fields& in) {
   expect_key(in, "nexp");
   std::size_t m = 0;
   in >> m;
+  if (!in || m > in.remaining()) {
+    throw FaultError("checkpoint: truncated exponent table");
+  }
   cp.exponents.resize(m);
   for (std::size_t i = 0; i < m; ++i) {
     expect_key(in, "x");

@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "util/errors.hpp"
@@ -41,12 +43,16 @@ double require_number(const obs::JsonValue& v, const char* key) {
   return v.as_number();
 }
 
-int require_int(const obs::JsonValue& v, const char* key) {
-  const double d = require_number(v, key);
-  const int i = static_cast<int>(d);
-  if (static_cast<double>(i) != d)
-    throw FaultError(std::string("fault plan: ") + key + " must be an integer");
-  return i;
+template <typename Int = int>
+Int require_int(const obs::JsonValue& v, const char* key) {
+  const std::optional<Int> i = obs::json_integer<Int>(require_number(v, key));
+  if (!i) {
+    throw FaultError(std::string("fault plan: ") + key +
+                     " must be an integer in [" +
+                     std::to_string(std::numeric_limits<Int>::min()) + ", " +
+                     std::to_string(std::numeric_limits<Int>::max()) + "]");
+  }
+  return *i;
 }
 
 HardFailure parse_hard_failure(const obs::JsonValue& v) {
@@ -78,7 +84,7 @@ FaultPlan FaultPlan::from_json(const obs::JsonValue& v) {
   FaultPlan plan;
   for (const auto& [key, value] : v.members()) {
     if (key == "seed") {
-      plan.seed = static_cast<std::uint64_t>(require_number(value, "seed"));
+      plan.seed = require_int<std::uint64_t>(value, "seed");
     } else if (key == "jmem_flip_rate") {
       plan.jmem_flip_rate = require_rate(value, "jmem_flip_rate");
     } else if (key == "ipacket_rate") {

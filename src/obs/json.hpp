@@ -4,8 +4,12 @@
 // tests validating --metrics-out / --trace-out files). Handles the full
 // JSON grammar; numbers are doubles.
 
+#include <cmath>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -51,5 +55,22 @@ class JsonValue {
 
   friend class JsonParser;
 };
+
+/// The integer a JSON number holds, when it is one that `Int` represents
+/// exactly; nullopt for fractions, NaN/inf and anything out of `Int`'s
+/// range (a bare static_cast there is undefined behaviour). Every JSON
+/// reader converts through this one check and maps nullopt onto its own
+/// error type and message.
+template <typename Int>
+std::optional<Int> json_integer(double d) {
+  static_assert(std::is_integral_v<Int> && !std::is_same_v<Int, bool>);
+  // 2^digits is the first value past max(); -2^digits is min() for
+  // signed types. Both are powers of two, so exact as doubles.
+  const double past_max =
+      2.0 * static_cast<double>(std::numeric_limits<Int>::max() / 2 + 1);
+  const double min = std::is_signed_v<Int> ? -past_max : 0.0;
+  if (!(d >= min && d < past_max) || d != std::floor(d)) return std::nullopt;
+  return static_cast<Int>(d);
+}
 
 }  // namespace g6::obs

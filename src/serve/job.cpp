@@ -55,8 +55,8 @@ JobRuntime::JobRuntime(const JobSpec& spec, const MachineConfig& arch,
 }
 
 JobRuntime::JobRuntime(const JobSpec& spec, const MachineConfig& arch,
-                       std::size_t boards, const SavedJob& saved, double e0)
-    : spec_(spec), e0_(e0) {
+                       std::size_t boards, const SavedJob& saved)
+    : spec_(spec), e0_(saved.e0) {
   G6_REQUIRE(boards >= 1);
   engine_ = std::make_unique<GrapeForceEngine>(slice_config(arch, boards),
                                                NumberFormats{}, spec_.eps);
@@ -80,6 +80,7 @@ SavedJob JobRuntime::save() const {
   SavedJob s;
   s.state = integ_->save_state();
   s.exponents = engine_->exponents();
+  s.e0 = e0_;
   return s;
 }
 

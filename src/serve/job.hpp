@@ -40,6 +40,7 @@ ParticleSet build_model(const JobSpec& spec);
 struct SavedJob {
   HermiteState state;
   std::vector<BlockExponents> exponents;
+  double e0 = 0.0;  ///< initial total energy of the run
 };
 
 class JobRuntime {
@@ -55,7 +56,7 @@ class JobRuntime {
   /// integrator plus the exponent cache. The continued run is
   /// bit-identical to one that never lost its lease.
   JobRuntime(const JobSpec& spec, const MachineConfig& arch,
-             std::size_t boards, const SavedJob& saved, double e0);
+             std::size_t boards, const SavedJob& saved);
 
   /// Advance up to `max_blocksteps` blocksteps, never past the spec's
   /// t_end (same stopping rule as HermiteIntegrator::evolve). Returns the

@@ -1,7 +1,8 @@
 #include "serve/journal.hpp"
 
-#include <cmath>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -87,22 +88,24 @@ double number_at(const JsonValue& obj, const std::string& key,
   return v->as_number();
 }
 
-std::uint64_t u64_at(const JsonValue& obj, const std::string& key,
-                     const std::string& where) {
-  const double d = number_at(obj, key, where);
-  if (d < 0.0 || d != std::floor(d)) {
-    fail(where + ": key '" + key + "' must be a non-negative integer");
+/// An integer key of type Int: unsigned fields take 0..max, signed ones
+/// their whole range; fractions and out-of-range values are refused.
+template <typename Int>
+Int integer_at(const JsonValue& obj, const std::string& key,
+               const std::string& where) {
+  const std::optional<Int> v =
+      obs::json_integer<Int>(number_at(obj, key, where));
+  if (!v) {
+    fail(where + ": key '" + key + "' must be an integer in [" +
+         std::to_string(std::numeric_limits<Int>::min()) + ", " +
+         std::to_string(std::numeric_limits<Int>::max()) + "]");
   }
-  return static_cast<std::uint64_t>(d);
+  return *v;
 }
 
-int int_at(const JsonValue& obj, const std::string& key,
-           const std::string& where) {
-  const double d = number_at(obj, key, where);
-  if (d != std::floor(d)) {
-    fail(where + ": key '" + key + "' must be an integer");
-  }
-  return static_cast<int>(d);
+std::uint64_t u64_at(const JsonValue& obj, const std::string& key,
+                     const std::string& where) {
+  return integer_at<std::uint64_t>(obj, key, where);
 }
 
 std::string string_at(const JsonValue& obj, const std::string& key,
@@ -122,15 +125,15 @@ JobSpec decode_spec(const JsonValue& j, const std::string& where) {
   JobSpec s;
   s.name = string_at(j, "name", where);
   s.model = string_at(j, "model", where);
-  s.n = static_cast<std::size_t>(u64_at(j, "n", where));
+  s.n = integer_at<std::size_t>(j, "n", where);
   s.w0 = number_at(j, "w0", where);
   s.t_end = number_at(j, "t_end", where);
   s.eps = number_at(j, "eps", where);
   s.eta = number_at(j, "eta", where);
-  s.seed = static_cast<unsigned>(u64_at(j, "seed", where));
-  s.boards = static_cast<std::size_t>(u64_at(j, "boards", where));
-  s.boards_min = static_cast<std::size_t>(u64_at(j, "boards_min", where));
-  s.boards_max = static_cast<std::size_t>(u64_at(j, "boards_max", where));
+  s.seed = integer_at<unsigned>(j, "seed", where);
+  s.boards = integer_at<std::size_t>(j, "boards", where);
+  s.boards_min = integer_at<std::size_t>(j, "boards_min", where);
+  s.boards_max = integer_at<std::size_t>(j, "boards_max", where);
   const std::string prio = string_at(j, "priority", where);
   if (prio == "interactive") {
     s.priority = Priority::kInteractive;
@@ -140,7 +143,7 @@ JobSpec decode_spec(const JsonValue& j, const std::string& where) {
     fail(where + ": unknown priority '" + prio + "'");
   }
   s.deadline_rounds = u64_at(j, "deadline_rounds", where);
-  s.chaos_fail_quanta = int_at(j, "chaos_fail_quanta", where);
+  s.chaos_fail_quanta = integer_at<int>(j, "chaos_fail_quanta", where);
   return s;
 }
 
@@ -152,17 +155,17 @@ ServiceConfig decode_config(const JsonValue& j, const std::string& where) {
               "checkpoint_every_quanta", "board_deaths"},
              where);
   ServiceConfig c;
-  c.max_queue_depth = static_cast<std::size_t>(u64_at(j, "max_queue_depth", where));
+  c.max_queue_depth = integer_at<std::size_t>(j, "max_queue_depth", where);
   c.quantum_blocksteps =
-      static_cast<std::size_t>(u64_at(j, "quantum_blocksteps", where));
-  c.max_requeues = int_at(j, "max_requeues", where);
-  c.max_job_failures = int_at(j, "max_job_failures", where);
+      integer_at<std::size_t>(j, "quantum_blocksteps", where);
+  c.max_requeues = integer_at<int>(j, "max_requeues", where);
+  c.max_job_failures = integer_at<int>(j, "max_job_failures", where);
   c.backoff_base_rounds = u64_at(j, "backoff_base_rounds", where);
   c.machine.boards_per_host =
-      static_cast<std::size_t>(u64_at(j, "boards_per_host", where));
+      integer_at<std::size_t>(j, "boards_per_host", where);
   c.machine.hosts_per_cluster =
-      static_cast<std::size_t>(u64_at(j, "hosts_per_cluster", where));
-  c.machine.clusters = static_cast<std::size_t>(u64_at(j, "clusters", where));
+      integer_at<std::size_t>(j, "hosts_per_cluster", where);
+  c.machine.clusters = integer_at<std::size_t>(j, "clusters", where);
   c.durability.checkpoint_dir = string_at(j, "checkpoint_dir", where);
   c.durability.checkpoint_every_quanta =
       u64_at(j, "checkpoint_every_quanta", where);
@@ -175,7 +178,7 @@ ServiceConfig decode_config(const JsonValue& j, const std::string& where) {
     check_keys(d, {"round", "board"}, dwhere);
     BoardDeath death;
     death.round = u64_at(d, "round", dwhere);
-    death.board = static_cast<std::size_t>(u64_at(d, "board", dwhere));
+    death.board = integer_at<std::size_t>(d, "board", dwhere);
     c.board_deaths.push_back(death);
   }
   return c;
@@ -395,16 +398,20 @@ JournalRecord decode_record(std::string_view line) {
   if (keys.count("blocksteps")) {
     rec.blocksteps = u64_at(root, "blocksteps", where);
   }
-  if (keys.count("requeues")) rec.requeues = int_at(root, "requeues", where);
-  if (keys.count("failures")) rec.failures = int_at(root, "failures", where);
+  if (keys.count("requeues")) {
+    rec.requeues = integer_at<int>(root, "requeues", where);
+  }
+  if (keys.count("failures")) {
+    rec.failures = integer_at<int>(root, "failures", where);
+  }
   if (keys.count("hold_until")) {
     rec.hold_until = u64_at(root, "hold_until", where);
   }
   if (keys.count("board")) {
-    rec.board = static_cast<std::size_t>(u64_at(root, "board", where));
+    rec.board = integer_at<std::size_t>(root, "board", where);
   }
   if (keys.count("boards")) {
-    rec.boards = static_cast<std::size_t>(u64_at(root, "boards", where));
+    rec.boards = integer_at<std::size_t>(root, "boards", where);
   }
   return rec;
 }
@@ -451,6 +458,7 @@ JournalReplay replay_journal(const std::string& path) {
            ": duplicate 'open' record");
     }
     replay.records.push_back(std::move(rec));
+    replay.complete_bytes = pos;
   }
   if (replay.records.empty()) {
     fail(path + ": no complete records (torn 'open' line?)");

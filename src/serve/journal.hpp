@@ -7,9 +7,11 @@
 // and fsync'd (util/fileio.hpp AppendLog) *before* the transition takes
 // effect, so after a crash — including kill -9 mid-write — the journal
 // is a complete prefix of the service history plus at most one torn
-// final line. `grape6_serve --recover <journal>` replays that prefix to
-// rebuild queue/partition/scheduler state and resume in-flight jobs
-// from their latest valid checkpoint (serve/recovery.hpp).
+// final line. `grape6_serve --recover <journal>` replays that prefix
+// through the scheduler's own state machine (Scheduler::recover and
+// Scheduler::apply in serve/scheduler.hpp) to rebuild queue/partition/
+// scheduler state and resume in-flight jobs from their latest valid
+// checkpoint.
 //
 // Parsing is strict: every complete line must be a JSON object with
 // exactly the keys its record type defines — unknown keys, missing
@@ -109,6 +111,9 @@ JournalRecord decode_record(std::string_view line);
 struct JournalReplay {
   std::vector<JournalRecord> records;  ///< complete, validated records
   bool torn_tail = false;  ///< final line was unterminated and dropped
+  /// Length of the complete-record prefix: the file size minus the torn
+  /// fragment, where a writer continuing the journal must resume.
+  std::uint64_t complete_bytes = 0;
 };
 
 /// Read and validate a whole journal file: record 1 must be kOpen with

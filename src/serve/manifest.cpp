@@ -1,9 +1,11 @@
 #include "serve/manifest.hpp"
 
-#include <cmath>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "obs/json.hpp"
 #include "serve/admission.hpp"
@@ -25,13 +27,19 @@ double number_at(const JsonValue& obj, const std::string& key,
   return v->as_number();
 }
 
-std::size_t size_at(const JsonValue& obj, const std::string& key,
-                    const std::string& where) {
-  const double d = number_at(obj, key, where);
-  if (d < 0.0 || d != std::floor(d)) {
-    fail(where + ": key '" + key + "' must be a non-negative integer");
+template <typename Int = std::size_t>
+Int count_at(const JsonValue& obj, const std::string& key,
+             const std::string& where) {
+  std::optional<Int> v = obs::json_integer<Int>(number_at(obj, key, where));
+  if constexpr (std::is_signed_v<Int>) {
+    if (v && *v < 0) v.reset();
   }
-  return static_cast<std::size_t>(d);
+  if (!v) {
+    fail(where + ": key '" + key +
+         "' must be a non-negative integer (at most " +
+         std::to_string(std::numeric_limits<Int>::max()) + ")");
+  }
+  return *v;
 }
 
 std::string string_at(const JsonValue& obj, const std::string& key,
@@ -72,24 +80,23 @@ JobSpec parse_job(const JsonValue& j, std::size_t index) {
   JobSpec spec;
   spec.name = string_at(j, "name", where);
   if (j.find("model")) spec.model = string_at(j, "model", where);
-  if (j.find("n")) spec.n = size_at(j, "n", where);
+  if (j.find("n")) spec.n = count_at(j, "n", where);
   if (j.find("w0")) spec.w0 = number_at(j, "w0", where);
   if (j.find("t_end")) spec.t_end = number_at(j, "t_end", where);
   if (j.find("eps")) spec.eps = number_at(j, "eps", where);
   if (j.find("eta")) spec.eta = number_at(j, "eta", where);
-  if (j.find("seed")) spec.seed = static_cast<unsigned>(size_at(j, "seed", where));
-  if (j.find("boards")) spec.boards = size_at(j, "boards", where);
-  if (j.find("boards_min")) spec.boards_min = size_at(j, "boards_min", where);
-  if (j.find("boards_max")) spec.boards_max = size_at(j, "boards_max", where);
+  if (j.find("seed")) spec.seed = count_at<unsigned>(j, "seed", where);
+  if (j.find("boards")) spec.boards = count_at(j, "boards", where);
+  if (j.find("boards_min")) spec.boards_min = count_at(j, "boards_min", where);
+  if (j.find("boards_max")) spec.boards_max = count_at(j, "boards_max", where);
   if (j.find("priority")) {
     spec.priority = parse_priority(string_at(j, "priority", where), where);
   }
   if (j.find("deadline_rounds")) {
-    spec.deadline_rounds = size_at(j, "deadline_rounds", where);
+    spec.deadline_rounds = count_at<std::uint64_t>(j, "deadline_rounds", where);
   }
   if (j.find("chaos_fail_quanta")) {
-    spec.chaos_fail_quanta =
-        static_cast<int>(size_at(j, "chaos_fail_quanta", where));
+    spec.chaos_fail_quanta = count_at<int>(j, "chaos_fail_quanta", where);
   }
 
   const AdmissionDecision d = AdmissionController::validate_spec(spec);
@@ -108,8 +115,8 @@ std::vector<BoardDeath> parse_board_deaths(const JsonValue& arr) {
       fail(where + ": needs both 'round' and 'board'");
     }
     BoardDeath death;
-    death.round = size_at(d, "round", where);
-    death.board = size_at(d, "board", where);
+    death.round = count_at<std::uint64_t>(d, "round", where);
+    death.board = count_at(d, "board", where);
     deaths.push_back(death);
   }
   return deaths;
@@ -124,33 +131,33 @@ ServiceConfig parse_service(const JsonValue& s) {
              where);
   ServiceConfig cfg;
   if (s.find("max_queue_depth")) {
-    cfg.max_queue_depth = size_at(s, "max_queue_depth", where);
+    cfg.max_queue_depth = count_at(s, "max_queue_depth", where);
   }
   if (s.find("quantum_blocksteps")) {
-    cfg.quantum_blocksteps = size_at(s, "quantum_blocksteps", where);
+    cfg.quantum_blocksteps = count_at(s, "quantum_blocksteps", where);
     if (cfg.quantum_blocksteps < 1) {
       fail("service.quantum_blocksteps must be >= 1");
     }
   }
   if (s.find("max_requeues")) {
-    cfg.max_requeues = static_cast<int>(size_at(s, "max_requeues", where));
+    cfg.max_requeues = count_at<int>(s, "max_requeues", where);
   }
   if (s.find("max_job_failures")) {
-    cfg.max_job_failures =
-        static_cast<int>(size_at(s, "max_job_failures", where));
+    cfg.max_job_failures = count_at<int>(s, "max_job_failures", where);
     if (cfg.max_job_failures < 1) fail("service.max_job_failures must be >= 1");
   }
   if (s.find("backoff_base_rounds")) {
-    cfg.backoff_base_rounds = size_at(s, "backoff_base_rounds", where);
+    cfg.backoff_base_rounds =
+        count_at<std::uint64_t>(s, "backoff_base_rounds", where);
   }
   if (s.find("boards_per_host")) {
-    cfg.machine.boards_per_host = size_at(s, "boards_per_host", where);
+    cfg.machine.boards_per_host = count_at(s, "boards_per_host", where);
   }
   if (s.find("hosts_per_cluster")) {
-    cfg.machine.hosts_per_cluster = size_at(s, "hosts_per_cluster", where);
+    cfg.machine.hosts_per_cluster = count_at(s, "hosts_per_cluster", where);
   }
   if (s.find("clusters")) {
-    cfg.machine.clusters = size_at(s, "clusters", where);
+    cfg.machine.clusters = count_at(s, "clusters", where);
   }
   if (cfg.pool_boards() < 1) fail("service: machine has zero boards");
   if (const JsonValue* deaths = s.find("board_deaths")) {

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "exec/thread_pool.hpp"
+#include "fault/checkpoint.hpp"
 #include "util/errors.hpp"
 #include "nbody/diagnostics.hpp"
 #include "obs/clock.hpp"
@@ -16,6 +17,7 @@
 #include "obs/phase.hpp"
 #include "obs/sampler.hpp"
 #include "util/check.hpp"
+#include "util/fileio.hpp"
 
 namespace g6::serve {
 
@@ -47,9 +49,17 @@ void track_sampler_instruments() {
   s.track_counter("serve.checkpoint.writes");
 }
 
+RejectReason reject_reason_from_name(const std::string& name) {
+  for (int v = 0; v <= static_cast<int>(RejectReason::kQuarantined); ++v) {
+    const auto r = static_cast<RejectReason>(v);
+    if (name == reject_reason_name(r)) return r;
+  }
+  throw JournalError("journal: unknown reject reason '" + name + "'");
+}
+
 }  // namespace
 
-Scheduler::Scheduler(ServiceConfig cfg, bool open_journal)
+Scheduler::Scheduler(ServiceConfig cfg)
     : cfg_(std::move(cfg)),
       admission_(cfg_.max_queue_depth, cfg_.pool_boards()),
       partition_(cfg_.pool_boards()),
@@ -64,6 +74,7 @@ Scheduler::Scheduler(ServiceConfig cfg, bool open_journal)
                    [](const BoardDeath& a, const BoardDeath& b) {
                      return a.round < b.round;
                    });
+  track_sampler_instruments();
   if (cfg_.durability.enabled()) {
     // Completed jobs are reconstructed from their final checkpoint at
     // recovery; a journal without a checkpoint store could not honor
@@ -71,149 +82,147 @@ Scheduler::Scheduler(ServiceConfig cfg, bool open_journal)
     G6_REQUIRE_MSG(!cfg_.durability.checkpoint_dir.empty(),
                    "durable serving needs a checkpoint_dir alongside the "
                    "journal");
-  }
-  track_sampler_instruments();
-  if (open_journal && cfg_.durability.enabled()) {
     MutexLock lk(serial_m_);
     journal_ = std::make_unique<Journal>(cfg_.durability.journal_path,
                                          /*truncate=*/true);
     JournalRecord jr;
     jr.type = JournalRecordType::kOpen;
     jr.config = cfg_;
-    journal_append(std::move(jr));
+    commit(std::move(jr));
   }
 }
 
-Scheduler::Scheduler(ServiceConfig cfg) : Scheduler(std::move(cfg), true) {}
-
-Scheduler::Scheduler(RestoredService restored)
-    : Scheduler(std::move(restored.cfg), false) {
+std::unique_ptr<Scheduler> Scheduler::recover(const std::string& journal_path,
+                                              RecoveryInfo* info,
+                                              std::atomic<bool>* stop_flag) {
   G6_PHASE("serve.recover");
-  MutexLock lk(serial_m_);
-  G6_REQUIRE_MSG(cfg_.durability.enabled(),
-                 "restore needs the journal path in the recovered config");
+  G6_REQUIRE_MSG(!journal_path.empty(), "empty journal path");
+  const JournalReplay replay = replay_journal(journal_path);
+  // The open record's config never carries the journal path, so this
+  // scheduler starts without a journal: the replay below writes nothing
+  // until resume_from reopens the file in append mode.
+  ServiceConfig cfg = replay.records.front().config;
+  cfg.stop_flag = stop_flag;
+  auto s = std::make_unique<Scheduler>(std::move(cfg));
+  MutexLock lk(s->serial_m_);
+  for (std::size_t i = 1; i < replay.records.size(); ++i) {
+    const JournalRecord& rec = replay.records[i];
+    s->round_index_ = std::max(s->round_index_, rec.round);
+    s->apply(rec);
+  }
+  s->resume_from(journal_path, replay, info);
+  return s;
+}
 
-  // Dead hardware first: boards that died before the crash stay dead,
-  // and the scheduled deaths that already fired must not fire again.
-  for (const BoardDeath& fired : restored.fired_deaths) {
-    partition_.mark_dead(fired.board);
-    for (auto it = pending_deaths_.begin(); it != pending_deaths_.end();
-         ++it) {
-      if (it->board == fired.board && it->round <= fired.round) {
-        pending_deaths_.erase(it);
-        break;
+void Scheduler::resume_from(const std::string& journal_path,
+                            const JournalReplay& replay, RecoveryInfo* info) {
+  RecoveryInfo out;
+  out.journal_records = replay.records.size();
+  out.torn_tail = replay.torn_tail;
+  out.resume_round = round_index_;
+  stats_.rounds = round_index_;
+
+  for (const auto& rp : records_) {
+    Record& r = *rp;
+    if (r.state == JobState::kQueued) {
+      // Live (queued or running at the crash): back in the queue in id
+      // order — the submission order — from its last checkpoint, if any.
+      if (!r.checkpoint_file.empty()) load_checkpoint(r, /*required=*/false);
+      queue_.push_back(r.id, r.spec.priority);
+      ++out.jobs_restored;
+      if (r.has_saved) ++out.jobs_resumed_from_checkpoint;
+    } else {
+      ++out.jobs_already_terminal;
+    }
+    if (r.state == JobState::kRejected) continue;
+    r.scope = &obs::ScopeRegistry::global().get_or_create(
+        "job:" + r.spec.name, r.id, priority_name(r.spec.priority));
+    if (r.state == JobState::kCompleted) {
+      // The final checkpoint is written (durably) before the finished
+      // record, so a journaled completion always has one. Rebuilding the
+      // runtime from it and interpolating to the current time is the
+      // same computation finish_job ran, on the same bits.
+      if (r.checkpoint_file.empty()) {
+        throw JournalError("journal: completed job '" + r.spec.name +
+                           "' has no checkpointed record");
       }
+      load_checkpoint(r, /*required=*/true);
+      const obs::ScopedMetricScope attribution(r.scope);
+      const JobRuntime runtime(r.spec, cfg_.machine, r.spec.boards, r.saved);
+      r.result = runtime.state_now();
+      r.result_time = runtime.time();
     }
   }
-  stats_.boards_dead = partition_.dead();
-  round_index_ = restored.resume_round;
-  stats_.rounds = restored.resume_round;
 
-  for (RestoredJob& j : restored.jobs) {
-    G6_REQUIRE_MSG(j.id == records_.size() + 1,
-                   "restored jobs must arrive in dense id order");
-    auto r = std::make_unique<Record>();
-    r->spec = j.spec;
-    r->id = j.id;
-    r->state = j.state;
-    r->reject = j.reject;
-    r->message = j.message;
-    r->requeues = j.requeues;
-    r->failures = j.failures;
-    r->hold_until_round = j.hold_until_round;
-    r->submit_round = j.submit_round;
-    r->quanta = j.quanta;
-    r->t_reached = j.t_reached;
-    r->steps = j.steps;
-    r->blocksteps = j.blocksteps;
-    r->e0 = j.e0;
-    r->e_final = j.e_final;
-    r->checkpoint_file = j.checkpoint_file;
-    // Replayed lease-resized records restore the autoscaled lease size
-    // exactly; the next dispatch acquires that many boards again.
-    r->boards_target = j.boards_now != 0 ? j.boards_now : j.spec.boards;
-    r->resizes = j.resizes;
-    stats_.resizes += j.resizes;
-    r->submit_wall_s = obs::monotonic_seconds();
-    ++stats_.submitted;
-
-    if (j.state != JobState::kRejected) {
-      r->scope = &obs::ScopeRegistry::global().get_or_create(
-          "job:" + j.spec.name, r->id, priority_name(j.spec.priority));
-    }
-    switch (j.state) {
-      case JobState::kQueued: {
-        if (j.has_checkpoint) {
-          r->saved.state = j.checkpoint.state;
-          r->saved.exponents = j.checkpoint.exponents;
-          r->has_saved = true;
-          r->e0 = j.checkpoint.e0;
-          r->t_reached = j.checkpoint.state.time;
-        }
-        queue_.push_back(j.id, j.spec.priority);
-        break;
-      }
-      case JobState::kCompleted: {
-        // The final checkpoint is written (durably) before the finished
-        // record, so a journaled completion always has one. Rebuilding
-        // the runtime from it and interpolating to the current time is
-        // the same computation finish_job ran, on the same bits.
-        G6_REQUIRE_MSG(j.has_checkpoint,
-                       "completed job '" + j.spec.name +
-                           "' has no checkpoint to rebuild its result from");
-        const obs::ScopedMetricScope attribution(r->scope);
-        SavedJob saved;
-        saved.state = j.checkpoint.state;
-        saved.exponents = j.checkpoint.exponents;
-        JobRuntime runtime(j.spec, cfg_.machine, j.spec.boards, saved,
-                           j.checkpoint.e0);
-        r->result = runtime.state_now();
-        r->result_time = runtime.time();
-        ++stats_.completed;
-        break;
-      }
-      case JobState::kFailed:
-        ++stats_.failed;
-        break;
-      case JobState::kQuarantined:
-        ++stats_.quarantined;
-        break;
-      case JobState::kRejected:
-        ++stats_.rejected;
-        break;
-      case JobState::kRunning:
-        G6_REQUIRE_MSG(false, "restored jobs are queued, never running");
-        break;
-    }
-    records_.push_back(std::move(r));
+  // Continue the journal where its last complete record ends: a torn
+  // fragment left in place would glue itself to the next append.
+  cfg_.durability.journal_path = journal_path;
+  if (replay.torn_tail) {
+    truncate_file_durable(journal_path, replay.complete_bytes);
   }
-
-  journal_ = std::make_unique<Journal>(cfg_.durability.journal_path,
-                                       /*truncate=*/false, restored.next_seq);
+  journal_ = std::make_unique<Journal>(journal_path, /*truncate=*/false,
+                                       replay.records.size() + 1);
   JournalRecord jr;
   jr.type = JournalRecordType::kRecovered;
-  jr.records = restored.info.journal_records;
-  journal_append(std::move(jr));
+  jr.records = out.journal_records;
+  commit(std::move(jr));
 
   reg().counter("serve.recovery.runs").add();
-  reg().counter("serve.recovery.records").add(restored.info.journal_records);
-  reg().counter("serve.recovery.jobs_restored")
-      .add(restored.info.jobs_restored);
+  reg().counter("serve.recovery.records").add(out.journal_records);
+  reg().counter("serve.recovery.jobs_restored").add(out.jobs_restored);
   reg()
       .counter("serve.recovery.resumed_from_checkpoint")
-      .add(restored.info.jobs_resumed_from_checkpoint);
+      .add(out.jobs_resumed_from_checkpoint);
   update_round_gauges();
   obs::log_info(
       "serve: recovered from %s: %llu records, %llu live job(s) restored "
       "(%llu from checkpoints), %llu already terminal, resuming at round "
       "%llu",
-      cfg_.durability.journal_path.c_str(),
-      static_cast<unsigned long long>(restored.info.journal_records),
-      static_cast<unsigned long long>(restored.info.jobs_restored),
-      static_cast<unsigned long long>(
-          restored.info.jobs_resumed_from_checkpoint),
-      static_cast<unsigned long long>(restored.info.jobs_already_terminal),
+      journal_path.c_str(),
+      static_cast<unsigned long long>(out.journal_records),
+      static_cast<unsigned long long>(out.jobs_restored),
+      static_cast<unsigned long long>(out.jobs_resumed_from_checkpoint),
+      static_cast<unsigned long long>(out.jobs_already_terminal),
       static_cast<unsigned long long>(round_index_));
+  if (info != nullptr) *info = out;
+}
+
+void Scheduler::load_checkpoint(Record& r, bool required) {
+  bool used_prev = false;
+  fault::RunCheckpoint cp;
+  try {
+    cp = fault::load_checkpoint_resilient(r.checkpoint_file, &used_prev);
+  } catch (const fault::FaultError& e) {
+    if (required) {
+      throw JournalError("journal: completed job '" + r.spec.name +
+                         "': " + e.what());
+    }
+    obs::log_warn(
+        "serve: job '%s' checkpoint unusable (%s); will re-run from "
+        "scratch",
+        r.spec.name.c_str(), e.what());
+    return;
+  }
+  const std::string expected = job_run_tag(r.spec);
+  if (cp.run_tag != expected) {
+    // A tag mismatch is not bit rot (the checksum passed) — the file
+    // belongs to a different configuration. Refuse, like RunCheckpoint
+    // resume does, rather than silently continuing a different run.
+    throw JournalError("journal: job '" + r.spec.name +
+                       "': checkpoint run_tag mismatch (file " +
+                       r.checkpoint_file + " has '" + cp.run_tag +
+                       "', expected '" + expected + "')");
+  }
+  if (used_prev) {
+    obs::log_warn(
+        "serve: job '%s' resumed from previous checkpoint generation "
+        "(current was corrupt)",
+        r.spec.name.c_str());
+  }
+  r.saved.state = std::move(cp.state);
+  r.saved.exponents = std::move(cp.exponents);
+  r.saved.e0 = cp.e0;
+  r.has_saved = true;
 }
 
 Scheduler::~Scheduler() = default;
@@ -228,18 +237,142 @@ const Scheduler::Record& Scheduler::rec(JobId id) const {
   return *records_[id - 1];
 }
 
+void Scheduler::commit(JournalRecord rec) {
+  rec.round = round_index_;
+  if (journal_ != nullptr) {
+    journal_->append(rec);
+    reg().counter("serve.journal.records").add();
+  }
+  apply(rec);
+}
+
+void Scheduler::apply(const JournalRecord& rec) {
+  using T = JournalRecordType;
+  switch (rec.type) {
+    case T::kOpen:
+    case T::kRecovered:
+    case T::kDrained:
+      return;
+    case T::kBoardDeath: {
+      // Dead hardware stays dead, and a scheduled death that fired must
+      // not fire again. A leased board's job is revoked by the caller
+      // (live) or was already treated as queued (replay).
+      if (rec.board >= partition_.total()) {
+        throw JournalError("journal: board-death record names board " +
+                           std::to_string(rec.board) + " outside the " +
+                           std::to_string(partition_.total()) +
+                           "-board machine");
+      }
+      partition_.mark_dead(rec.board);
+      stats_.boards_dead = partition_.dead();
+      const auto fired = std::find_if(
+          pending_deaths_.begin(), pending_deaths_.end(),
+          [&rec](const BoardDeath& d) {
+            return d.board == rec.board && d.round <= rec.round;
+          });
+      if (fired != pending_deaths_.end()) pending_deaths_.erase(fired);
+      return;
+    }
+    case T::kSubmitted: {
+      if (rec.job != records_.size() + 1) {
+        throw JournalError("journal: submitted record for job " +
+                           std::to_string(rec.job) + " out of order");
+      }
+      // A bare `submitted` (a crash before the admitted/rejected append)
+      // counts as admitted: the client never saw a rejection, and a live
+      // job is the only state that guarantees exactly-once terminal
+      // delivery.
+      auto r = std::make_unique<Record>();
+      r->spec = rec.spec;
+      r->id = rec.job;
+      r->state = JobState::kQueued;
+      r->submit_round = rec.round;
+      r->boards_target = rec.spec.boards;
+      r->submit_wall_s = obs::monotonic_seconds();
+      records_.push_back(std::move(r));
+      ++stats_.submitted;
+      return;
+    }
+    default:
+      break;
+  }
+
+  if (rec.job == 0 || rec.job > records_.size()) {
+    throw JournalError("journal: record " + std::to_string(rec.seq) + " (" +
+                       journal_record_type_name(rec.type) +
+                       ") names unknown job " + std::to_string(rec.job));
+  }
+  Record& r = *records_[rec.job - 1];
+  switch (rec.type) {
+    case T::kAdmitted:  // already live since `submitted`
+    case T::kStarted:   // running is live-only state
+      break;
+    case T::kRejected:
+      r.state = JobState::kRejected;
+      r.reject = reject_reason_from_name(rec.reason);
+      r.message = rec.message;
+      ++stats_.rejected;
+      break;
+    case T::kLeaseResized:
+      // The job's next dispatch re-acquires this many boards, so a
+      // resumed pipeline has the shape the crashed process ran with.
+      r.boards_target = rec.boards;
+      ++r.resizes;
+      ++stats_.resizes;
+      break;
+    case T::kQuantum:
+      r.quanta = rec.quanta;
+      r.t_reached = rec.t;
+      r.steps = rec.steps;
+      r.blocksteps = rec.blocksteps;
+      r.failures = 0;  // quarantine counts *consecutive* faulted quanta
+      break;
+    case T::kCheckpointed:
+      // Only the last checkpoint is a resume candidate (earlier
+      // generations were rotated away).
+      r.checkpoint_file = rec.file;
+      break;
+    case T::kRequeued:
+      r.state = JobState::kQueued;
+      if (rec.reason == "revocation") ++stats_.requeues;
+      r.requeues = rec.requeues;
+      r.failures = rec.failures;
+      r.hold_until_round = rec.hold_until;
+      break;
+    case T::kFinished:
+      r.state = JobState::kCompleted;
+      r.quanta = rec.quanta;
+      r.t_reached = rec.t;
+      r.steps = rec.steps;
+      r.blocksteps = rec.blocksteps;
+      r.e0 = rec.e0;
+      r.e_final = rec.e_final;
+      ++stats_.completed;
+      break;
+    case T::kFailed:
+      r.state = JobState::kFailed;
+      r.reject = reject_reason_from_name(rec.reason);
+      r.message = rec.message;
+      ++stats_.failed;
+      break;
+    case T::kQuarantined:
+      r.state = JobState::kQuarantined;
+      r.reject = RejectReason::kQuarantined;
+      r.failures = rec.failures;
+      r.message = "poison job: " + std::to_string(rec.failures) +
+                  " consecutive transient faults";
+      if (!rec.file.empty()) r.message += " (flight dump: " + rec.file + ")";
+      ++stats_.quarantined;
+      break;
+    default:
+      G6_REQUIRE_MSG(false, "unhandled journal record type");
+  }
+}
+
 SubmitResult Scheduler::submit(const JobSpec& spec) {
   MutexLock lk(serial_m_);
-  ++stats_.submitted;
   reg().counter("serve.jobs.submitted").add();
-
-  auto r = std::make_unique<Record>();
-  r->spec = spec;
-  r->id = static_cast<JobId>(records_.size() + 1);
-  r->boards_target = spec.boards;
-  r->submit_wall_s = obs::monotonic_seconds();
-  r->submit_round = round_index_;
-
+  const auto id = static_cast<JobId>(records_.size() + 1);
   {
     // Write-ahead: the submission (with its full spec) is durable before
     // the decision — recovery treats a bare `submitted` record (crash
@@ -247,14 +380,15 @@ SubmitResult Scheduler::submit(const JobSpec& spec) {
     // terminal state exactly once.
     JournalRecord jr;
     jr.type = JournalRecordType::kSubmitted;
-    jr.job = r->id;
+    jr.job = id;
     jr.spec = spec;
-    journal_append(std::move(jr));
+    commit(std::move(jr));
   }
+  Record& r = rec(id);
 
   AdmissionDecision d = AdmissionDecision::yes();
   for (const auto& other : records_) {
-    if (other->spec.name == spec.name) {
+    if (other->id != id && other->spec.name == spec.name) {
       d = AdmissionDecision::no(RejectReason::kInvalidSpec,
                                 "duplicate job name '" + spec.name + "'");
       break;
@@ -266,41 +400,35 @@ SubmitResult Scheduler::submit(const JobSpec& spec) {
   }
 
   SubmitResult result;
-  result.id = r->id;
+  result.id = id;
   if (d.admit) {
-    r->state = JobState::kQueued;
-    // One attribution scope per admitted job: every counter incremented
-    // while this job's work runs — on any thread — lands in its ledger.
-    r->scope = &obs::ScopeRegistry::global().get_or_create(
-        "job:" + spec.name, r->id, priority_name(spec.priority));
-    queue_.push_back(r->id, spec.priority);
-    result.accepted = true;
     JournalRecord jr;
     jr.type = JournalRecordType::kAdmitted;
-    jr.job = r->id;
-    journal_append(std::move(jr));
+    jr.job = id;
+    commit(std::move(jr));
+    // One attribution scope per admitted job: every counter incremented
+    // while this job's work runs — on any thread — lands in its ledger.
+    r.scope = &obs::ScopeRegistry::global().get_or_create(
+        "job:" + spec.name, id, priority_name(spec.priority));
+    queue_.push_back(id, spec.priority);
+    result.accepted = true;
     obs::log_debug("serve: job %llu '%s' queued (%s, %zu board(s))",
-                   static_cast<unsigned long long>(r->id), spec.name.c_str(),
+                   static_cast<unsigned long long>(id), spec.name.c_str(),
                    priority_name(spec.priority), spec.boards);
   } else {
-    r->state = JobState::kRejected;
-    r->reject = d.reason;
-    r->message = d.message;
+    JournalRecord jr;
+    jr.type = JournalRecordType::kRejected;
+    jr.job = id;
+    jr.reason = reject_reason_name(d.reason);
+    jr.message = d.message;
+    commit(std::move(jr));
     result.accepted = false;
     result.reason = d.reason;
     result.message = d.message;
-    ++stats_.rejected;
     reg().counter("serve.jobs.rejected").add();
-    JournalRecord jr;
-    jr.type = JournalRecordType::kRejected;
-    jr.job = r->id;
-    jr.reason = reject_reason_name(d.reason);
-    jr.message = d.message;
-    journal_append(std::move(jr));
     obs::log_warn("serve: job '%s' rejected (%s): %s", spec.name.c_str(),
                   reject_reason_name(d.reason), d.message.c_str());
   }
-  records_.push_back(std::move(r));
   update_round_gauges();
   return result;
 }
@@ -331,7 +459,7 @@ void Scheduler::run_until_drained() {
     JournalRecord jr;
     jr.type = JournalRecordType::kDrained;
     jr.reason = "drained";
-    journal_append(std::move(jr));
+    commit(std::move(jr));
   }
   stats_.makespan_s += obs::monotonic_seconds() - start;
   stats_.boards_dead = partition_.dead();
@@ -406,14 +534,13 @@ void Scheduler::enforce_deadlines() {
 void Scheduler::apply_board_deaths() {
   while (!pending_deaths_.empty() &&
          pending_deaths_.front().round <= round_index_) {
+    // apply() kills the board and retires this entry from the schedule.
     const BoardDeath death = pending_deaths_.front();
-    pending_deaths_.erase(pending_deaths_.begin());
+    const JobId victim = partition_.owner_of(death.board);
     JournalRecord jr;
     jr.type = JournalRecordType::kBoardDeath;
     jr.board = death.board;
-    journal_append(std::move(jr));
-    const JobId victim = partition_.mark_dead(death.board);
-    stats_.boards_dead = partition_.dead();
+    commit(std::move(jr));
     reg().counter("serve.board_deaths").add();
     obs::log_warn("serve: board %zu died at round %llu (%zu healthy left)",
                   death.board,
@@ -483,7 +610,7 @@ JobId Scheduler::dispatch() {
     jr.type = JournalRecordType::kStarted;
     jr.job = id;
     jr.boards = r.lease.size();
-    journal_append(std::move(jr));
+    commit(std::move(jr));
     if (r.first_run_wall_s < 0.0) {
       r.first_run_wall_s = obs::monotonic_seconds();
       reg()
@@ -506,11 +633,10 @@ void Scheduler::start_runtime(Record& r) {
   const obs::ScopedMetricScope attribution(r.scope);
   if (r.has_saved) {
     r.runtime = std::make_unique<JobRuntime>(r.spec, cfg_.machine,
-                                             r.lease.size(), r.saved, r.e0);
+                                             r.lease.size(), r.saved);
   } else {
     r.runtime =
         std::make_unique<JobRuntime>(r.spec, cfg_.machine, r.lease.size());
-    r.e0 = r.runtime->e0();
   }
 }
 
@@ -556,7 +682,6 @@ void Scheduler::run_quanta(const std::vector<JobId>& running) {
 }
 
 void Scheduler::fold_quantum(Record& r) {
-  ++r.quanta;
   reg().counter("serve.quanta").add();
   r.run_s += r.q_wall_s;
   r.grape_virtual_s += r.q_virtual_s;
@@ -582,11 +707,9 @@ void Scheduler::fold_quantum(Record& r) {
         JournalRecord jr;
         jr.type = JournalRecordType::kBoardDeath;
         jr.board = b;
-        journal_append(std::move(jr));
-        partition_.mark_dead(b);
+        commit(std::move(jr));
         reg().counter("serve.board_deaths").add();
       }
-      stats_.boards_dead = partition_.dead();
       revoke_lease(r, std::string("hard fault: ") + e.what());
     } catch (const fault::TransientFault& e) {
       // Transient (RetryExhausted included: one level up retries with a
@@ -605,20 +728,16 @@ void Scheduler::fold_quantum(Record& r) {
   // Clean quantum boundary: capture resumable state and progress.
   r.saved = r.runtime->save();
   r.has_saved = true;
-  r.failures = 0;  // quarantine counts *consecutive* faulted quanta
-  r.t_reached = r.runtime->time();
-  r.steps = r.runtime->integrator().total_steps();
-  r.blocksteps = r.runtime->integrator().total_blocksteps();
   r.eq10 = r.runtime->integrator().eq10();
   {
     JournalRecord jr;
     jr.type = JournalRecordType::kQuantum;
     jr.job = r.id;
-    jr.quanta = r.quanta;
-    jr.t = r.t_reached;
-    jr.steps = r.steps;
-    jr.blocksteps = r.blocksteps;
-    journal_append(std::move(jr));
+    jr.quanta = r.quanta + 1;
+    jr.t = r.runtime->time();
+    jr.steps = r.runtime->integrator().total_steps();
+    jr.blocksteps = r.runtime->integrator().total_blocksteps();
+    commit(std::move(jr));
   }
   const bool done = r.runtime->done();
   const std::uint64_t every = cfg_.durability.checkpoint_every_quanta;
@@ -629,37 +748,32 @@ void Scheduler::fold_quantum(Record& r) {
 }
 
 void Scheduler::retry_or_quarantine(Record& r, const std::string& what) {
-  ++r.failures;
+  const int failures = r.failures + 1;
   reg().counter("serve.job_faults").add();
   flight().record(obs::FlightEventType::kRetry, r.id,
                   static_cast<std::int64_t>(round_index_),
-                  static_cast<std::int64_t>(r.failures));
+                  static_cast<std::int64_t>(failures));
   release_lease(r);
   // Mid-quantum state is indeterminate; the next attempt resumes from
   // the last clean quantum boundary (or the start).
   r.runtime.reset();
-  if (r.failures >= cfg_.max_job_failures) {
-    quarantine_job(r, "poison job: " + std::to_string(r.failures) +
-                          " consecutive transient faults (last: " + what +
-                          ")");
+  if (failures >= cfg_.max_job_failures) {
+    quarantine_job(r, failures, what);
     return;
   }
   // Exponential virtual-time backoff: 1x, 2x, 4x ... backoff_base_rounds,
   // measured on the round clock so replay is deterministic.
-  const std::uint64_t backoff = cfg_.backoff_base_rounds
-                                << (r.failures - 1);
-  r.hold_until_round = round_index_ + 1 + backoff;
-  r.state = JobState::kQueued;
-  // Back of the class: unlike a revocation, the fault was the job's own.
-  queue_.push_back(r.id, r.spec.priority);
+  const std::uint64_t backoff = cfg_.backoff_base_rounds << (failures - 1);
   JournalRecord jr;
   jr.type = JournalRecordType::kRequeued;
   jr.job = r.id;
   jr.reason = "retry";
   jr.requeues = r.requeues;
-  jr.failures = r.failures;
-  jr.hold_until = r.hold_until_round;
-  journal_append(std::move(jr));
+  jr.failures = failures;
+  jr.hold_until = round_index_ + 1 + backoff;
+  commit(std::move(jr));
+  // Back of the class: unlike a revocation, the fault was the job's own.
+  queue_.push_back(r.id, r.spec.priority);
   obs::log_warn(
       "serve: job %llu transient fault (%s); retry %d/%d after %llu "
       "round(s) backoff",
@@ -667,15 +781,10 @@ void Scheduler::retry_or_quarantine(Record& r, const std::string& what) {
       cfg_.max_job_failures, static_cast<unsigned long long>(backoff));
 }
 
-void Scheduler::quarantine_job(Record& r, std::string message) {
+void Scheduler::quarantine_job(Record& r, int failures,
+                               const std::string& what) {
   release_lease(r);
   r.runtime.reset();
-  r.state = JobState::kQuarantined;
-  r.reject = RejectReason::kQuarantined;
-  r.message = std::move(message);
-  ++stats_.quarantined;
-  reg().counter("serve.jobs.quarantined").add();
-  observe_terminal(r);
   // Attach a flight-recorder dump: the ring holds the retry/requeue
   // trail that led here, which is exactly what a poison-job post-mortem
   // needs.
@@ -687,16 +796,18 @@ void Scheduler::quarantine_job(Record& r, std::string message) {
   }
   flight().record(obs::FlightEventType::kJobFailed, r.id,
                   static_cast<std::int64_t>(round_index_),
-                  static_cast<std::int64_t>(r.failures), "quarantined");
+                  static_cast<std::int64_t>(failures), "quarantined");
   JournalRecord jr;
   jr.type = JournalRecordType::kQuarantined;
   jr.job = r.id;
-  jr.failures = r.failures;
+  jr.failures = failures;
   jr.file = dump;
-  journal_append(std::move(jr));
-  obs::log_error("serve: job %llu '%s' quarantined: %s",
+  commit(std::move(jr));
+  reg().counter("serve.jobs.quarantined").add();
+  observe_terminal(r);
+  obs::log_error("serve: job %llu '%s' quarantined: %s (last: %s)",
                  static_cast<unsigned long long>(r.id), r.spec.name.c_str(),
-                 r.message.c_str());
+                 r.message.c_str(), what.c_str());
 }
 
 void Scheduler::checkpoint_job(Record& r) {
@@ -705,10 +816,9 @@ void Scheduler::checkpoint_job(Record& r) {
   cp.run_tag = job_run_tag(r.spec);
   cp.state = r.saved.state;
   cp.exponents = r.saved.exponents;
-  cp.e0 = r.e0;
+  cp.e0 = r.saved.e0;
   const std::string path = checkpoint_path(r.spec.name);
   fault::save_checkpoint_rotating(path, cp);
-  r.checkpoint_file = path;
   reg().counter("serve.checkpoint.writes").add();
   JournalRecord jr;
   jr.type = JournalRecordType::kCheckpointed;
@@ -716,7 +826,7 @@ void Scheduler::checkpoint_job(Record& r) {
   jr.quanta = r.quanta;
   jr.file = path;
   jr.tag = cp.run_tag;
-  journal_append(std::move(jr));
+  commit(std::move(jr));
 }
 
 std::string Scheduler::checkpoint_path(const std::string& job_name) const {
@@ -739,18 +849,11 @@ void Scheduler::graceful_stop() {
   JournalRecord jr;
   jr.type = JournalRecordType::kDrained;
   jr.reason = "sigterm";
-  journal_append(std::move(jr));
+  commit(std::move(jr));
   obs::log_warn(
       "serve: graceful drain (stop requested) at round %llu; %zu live "
       "job(s) checkpointed",
       static_cast<unsigned long long>(round_index_), checkpointed);
-}
-
-void Scheduler::journal_append(JournalRecord rec) {
-  if (journal_ == nullptr) return;
-  rec.round = round_index_;
-  journal_->append(std::move(rec));
-  reg().counter("serve.journal.records").add();
 }
 
 void Scheduler::observe_terminal(const Record& r) {
@@ -817,19 +920,16 @@ void Scheduler::preempt_for(JobId blocked_id) {
 }
 
 void Scheduler::record_resize(Record& r, const char* why) {
-  r.boards_target = r.lease.size();
-  ++r.resizes;
-  ++stats_.resizes;
-  reg().counter("serve.lease.resizes").add();
-  flight().record(obs::FlightEventType::kLeaseResize, r.id,
-                  static_cast<std::int64_t>(round_index_),
-                  static_cast<std::int64_t>(r.lease.size()), why);
   JournalRecord jr;
   jr.type = JournalRecordType::kLeaseResized;
   jr.job = r.id;
   jr.boards = r.lease.size();
   jr.reason = why;
-  journal_append(std::move(jr));
+  commit(std::move(jr));
+  reg().counter("serve.lease.resizes").add();
+  flight().record(obs::FlightEventType::kLeaseResize, r.id,
+                  static_cast<std::int64_t>(round_index_),
+                  static_cast<std::int64_t>(r.lease.size()), why);
   obs::log_debug("serve: job %llu lease resized to %zu board(s) (%s)",
                  static_cast<unsigned long long>(r.id), r.lease.size(), why);
 }
@@ -853,7 +953,7 @@ void Scheduler::resize_running(Record& r, std::size_t new_size,
     // attributed to the job.
     const obs::ScopedMetricScope attribution(r.scope);
     r.runtime = std::make_unique<JobRuntime>(r.spec, cfg_.machine, new_size,
-                                             r.saved, r.e0);
+                                             r.saved);
   }
   record_resize(r, why);
 }
@@ -917,14 +1017,6 @@ void Scheduler::grow_leases() {
 void Scheduler::finish_job(Record& r) {
   r.result = r.runtime->state_now();
   r.result_time = r.runtime->time();
-  r.e_final = compute_energy(r.result.bodies(), r.spec.eps).total();
-  release_lease(r);
-  r.runtime.reset();
-  r.state = JobState::kCompleted;
-  ++stats_.completed;
-  stats_.eq10.merge(r.eq10);
-  reg().counter("serve.jobs.completed").add();
-  observe_terminal(r);
   {
     // The final checkpoint (fold_quantum wrote it just before this call)
     // is already durable, so this record is all recovery needs to rebuild
@@ -934,12 +1026,17 @@ void Scheduler::finish_job(Record& r) {
     jr.job = r.id;
     jr.quanta = r.quanta;
     jr.t = r.result_time;
-    jr.e0 = r.e0;
-    jr.e_final = r.e_final;
+    jr.e0 = r.runtime->e0();
+    jr.e_final = compute_energy(r.result.bodies(), r.spec.eps).total();
     jr.steps = r.steps;
     jr.blocksteps = r.blocksteps;
-    journal_append(std::move(jr));
+    commit(std::move(jr));
   }
+  release_lease(r);
+  r.runtime.reset();
+  stats_.eq10.merge(r.eq10);
+  reg().counter("serve.jobs.completed").add();
+  observe_terminal(r);
   flight().record(obs::FlightEventType::kJobCompleted, r.id,
                   static_cast<std::int64_t>(round_index_),
                   static_cast<std::int64_t>(r.quanta));
@@ -951,20 +1048,16 @@ void Scheduler::finish_job(Record& r) {
 }
 
 void Scheduler::fail_job(Record& r, RejectReason reason, std::string message) {
-  r.state = JobState::kFailed;
-  r.reject = reason;
-  r.message = std::move(message);
-  ++stats_.failed;
-  reg().counter("serve.jobs.failed").add();
-  observe_terminal(r);
   {
     JournalRecord jr;
     jr.type = JournalRecordType::kFailed;
     jr.job = r.id;
     jr.reason = reject_reason_name(reason);
-    jr.message = r.message;
-    journal_append(std::move(jr));
+    jr.message = std::move(message);
+    commit(std::move(jr));
   }
+  reg().counter("serve.jobs.failed").add();
+  observe_terminal(r);
   flight().record(obs::FlightEventType::kJobFailed, r.id,
                   static_cast<std::int64_t>(round_index_),
                   static_cast<std::int64_t>(r.requeues));
@@ -993,26 +1086,23 @@ void Scheduler::revoke_lease(Record& r, const std::string& why) {
                  std::to_string(cfg_.max_requeues) + ")");
     return;
   }
-  ++r.requeues;
-  ++stats_.requeues;
+  {
+    JournalRecord jr;
+    jr.type = JournalRecordType::kRequeued;
+    jr.job = r.id;
+    jr.reason = "revocation";
+    jr.requeues = r.requeues + 1;
+    jr.failures = r.failures;
+    jr.hold_until = r.hold_until_round;
+    commit(std::move(jr));
+  }
   reg().counter("serve.requeues").add();
-  r.state = JobState::kQueued;
   // Front of the class: the job lost its boards through no fault of its
   // own, so it keeps its turn.
   queue_.push_front(r.id, r.spec.priority);
   flight().record(obs::FlightEventType::kRequeue, r.id,
                   static_cast<std::int64_t>(round_index_),
                   static_cast<std::int64_t>(r.requeues));
-  {
-    JournalRecord jr;
-    jr.type = JournalRecordType::kRequeued;
-    jr.job = r.id;
-    jr.reason = "revocation";
-    jr.requeues = r.requeues;
-    jr.failures = r.failures;
-    jr.hold_until = r.hold_until_round;
-    journal_append(std::move(jr));
-  }
   obs::log_warn("serve: job %llu lease revoked (%s); re-queued at front "
                 "(requeue %d/%d)",
                 static_cast<unsigned long long>(r.id), why.c_str(),

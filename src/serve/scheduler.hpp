@@ -37,21 +37,23 @@
 // ServiceConfig::durability enabled, every lifecycle transition is
 // journaled (serve/journal.hpp) before submit/round returns, jobs are
 // checkpointed at quantum boundaries (fault/checkpoint.hpp, rotating
-// generations), and the restore constructor rebuilds the whole scheduler
-// from a replayed journal — the round clock, dead boards, queue order and
+// generations), and recover() rebuilds the whole scheduler from a
+// replayed journal — the round clock, dead boards, queue order and
 // per-job physics state all resume where the previous process stopped.
+// Live transitions and the replay share one state machine: every
+// journaled field is written by apply(record) and nothing else.
 // Per-job policies ride on the same machinery: deadlines measured in
 // rounds (the logical clock — wall time would break replay), transient-
 // fault retry with exponential virtual-time backoff, and poison-job
 // quarantine with a flight-recorder dump.
 
+#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "fault/checkpoint.hpp"
 #include "serve/admission.hpp"
 #include "serve/job.hpp"
 #include "serve/job_queue.hpp"
@@ -67,52 +69,18 @@ class MetricScope;
 
 namespace g6::serve {
 
-/// One job rebuilt from a journal replay (filled by serve/recovery.hpp,
-/// consumed by the Scheduler restore constructor). Live jobs re-enter
-/// the queue in id order — their original submission order — carrying
-/// their policy counters; terminal jobs keep their records (and, for
-/// completed jobs, their final checkpoint, from which the result state
-/// is reconstructed).
-struct RestoredJob {
-  JobSpec spec;
-  JobId id = 0;
-  JobState state = JobState::kQueued;  ///< kQueued = live (was queued OR running)
-  RejectReason reject = RejectReason::kNone;
-  std::string message;
-  int requeues = 0;
-  int failures = 0;
-  std::uint64_t hold_until_round = 0;
-  std::uint64_t submit_round = 0;
-  std::uint64_t quanta = 0;
-  double t_reached = 0.0;
-  unsigned long long steps = 0;
-  unsigned long long blocksteps = 0;
-  double e0 = 0.0;
-  double e_final = 0.0;
-  std::size_t boards_now = 0;  ///< lease size after the last resize (0 = spec)
-  std::uint64_t resizes = 0;   ///< lease-resized records replayed
-  bool has_checkpoint = false;
-  fault::RunCheckpoint checkpoint;  ///< physics state (live mid-flight + completed)
-  std::string checkpoint_file;
-};
-
-/// Everything a --recover replay reconstructs (serve/recovery.hpp).
-struct RestoredService {
-  ServiceConfig cfg;              ///< from the journal's open record
-  std::vector<RestoredJob> jobs;  ///< id order; ids are 1..jobs.size()
-  std::vector<BoardDeath> fired_deaths;  ///< deaths that already happened
-  std::uint64_t resume_round = 0;
-  std::uint64_t next_seq = 1;     ///< journal continues from here
-  RecoveryInfo info;
-};
-
 class Scheduler {
  public:
   explicit Scheduler(ServiceConfig cfg);
-  /// Crash recovery: rebuild from a replayed journal. Re-opens the
-  /// journal in append mode (continuing the sequence) and logs a
-  /// `recovered` record marking the new process generation.
-  explicit Scheduler(RestoredService restored);
+  /// Crash recovery (GrapeService::recover): build the scheduler from the
+  /// journal's `open` record, apply() every later record, attach the
+  /// validated checkpoints, queue the live jobs in id order, then cut any
+  /// torn tail and continue the journal with a `recovered` record.
+  /// Throws JournalError on a malformed journal or an unusable completed
+  /// job's checkpoint.
+  static std::unique_ptr<Scheduler> recover(const std::string& journal_path,
+                                            RecoveryInfo* info,
+                                            std::atomic<bool>* stop_flag);
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -152,21 +120,33 @@ class Scheduler {
 
  private:
   struct Record {
+    // Journaled: written only by apply(), so live runs and replays of
+    // the same journal hold the same values.
     JobSpec spec;
     JobId id = 0;
+    /// kRunning is the one live-only state: a replay treats a running
+    /// job as queued.
     JobState state = JobState::kQueued;
     RejectReason reject = RejectReason::kNone;
     std::string message;
+    std::uint64_t submit_round = 0;  ///< deadline epoch (logical clock)
+    std::uint64_t quanta = 0;        ///< clean quanta folded
+    double t_reached = 0.0;
+    unsigned long long steps = 0;
+    unsigned long long blocksteps = 0;
     int requeues = 0;  ///< revocation re-queues consumed
     int failures = 0;  ///< consecutive transient-fault quanta (quarantine)
     std::uint64_t hold_until_round = 0;  ///< retry backoff release round
-    std::uint64_t submit_round = 0;      ///< deadline epoch (logical clock)
-    std::string checkpoint_file;         ///< last checkpoint path ("" = none)
     /// Autoscaling: the lease size the job runs at (starts at spec.boards,
     /// moves within [min_boards, max_boards]; every change is journaled).
     std::size_t boards_target = 0;
     std::uint64_t resizes = 0;           ///< grow/shrink events applied
+    std::string checkpoint_file;         ///< last checkpoint path ("" = none)
+    double e0 = 0.0;       ///< set at completion, with e_final
+    double e_final = 0.0;
 
+    // Live only: the journal does not record these; recovery rebuilds
+    // them (saved state from checkpoints) or starts them afresh.
     BoardLease lease;                      ///< valid while kRunning
     std::unique_ptr<JobRuntime> runtime;   ///< live while running/preempted
     /// Attribution scope ("job:<name>") in the global ScopeRegistry;
@@ -175,19 +155,14 @@ class Scheduler {
     obs::MetricScope* scope = nullptr;
     SavedJob saved;                        ///< last blockstep-boundary state
     bool has_saved = false;
-    double e0 = 0.0;
 
     // accounting (folded serially; reports read these, never the runtime)
     double submit_wall_s = 0.0;
     double first_run_wall_s = -1.0;
-    std::uint64_t quanta = 0;
     std::uint64_t preemptions = 0;
     std::uint64_t revocations = 0;
     double run_s = 0.0;
     double grape_virtual_s = 0.0;
-    double t_reached = 0.0;
-    unsigned long long steps = 0;
-    unsigned long long blocksteps = 0;
     obs::Eq10Accumulator eq10;
 
     // quantum scratch: written by this job's pool task, read after join
@@ -199,15 +174,32 @@ class Scheduler {
     // result
     ParticleSet result;
     double result_time = 0.0;
-    double e_final = 0.0;
   };
-
-  /// Shared construction; `open_journal` is false on the restore path,
-  /// which re-opens the journal in append mode itself.
-  Scheduler(ServiceConfig cfg, bool open_journal);
 
   Record& rec(JobId id) G6_REQUIRES(serial_m_);
   const Record& rec(JobId id) const G6_REQUIRES(serial_m_);
+
+  /// The job state machine: the one writer of every field a journal
+  /// record carries (the journaled Record fields, their stats_ counters,
+  /// and for board deaths the partition and pending_deaths_). Live
+  /// transitions reach it through commit(); recovery calls it on each
+  /// replayed record. Throws JournalError on a record that names an
+  /// unknown job or reason.
+  void apply(const JournalRecord& rec) G6_REQUIRES(serial_m_);
+  /// A live transition: stamp the round, append durably when a journal
+  /// is open, then apply(). Everything the journal does not record
+  /// (queue order, leases, runtimes, metrics, flight events, logs) stays
+  /// with the caller.
+  void commit(JournalRecord rec) G6_REQUIRES(serial_m_);
+  /// Recovery after the replay: checkpoints, queue, completed results,
+  /// the reopened journal.
+  void resume_from(const std::string& journal_path,
+                   const JournalReplay& replay, RecoveryInfo* info)
+      G6_REQUIRES(serial_m_);
+  /// Load the last journaled checkpoint of a replayed job into its saved
+  /// state. `required` (completed jobs) turns an unusable file into a
+  /// JournalError; a live job just re-runs from scratch.
+  void load_checkpoint(Record& r, bool required) G6_REQUIRES(serial_m_);
 
   bool has_live_work() const G6_REQUIRES(serial_m_);
   void round() G6_REQUIRES(serial_m_);
@@ -226,8 +218,8 @@ class Scheduler {
   /// cache is shaped by the lease size), journal a lease-resized record.
   void resize_running(Record& r, std::size_t new_size, const char* why)
       G6_REQUIRES(serial_m_);
-  /// Bookkeeping shared by every resize path: boards_target follows the
-  /// lease, counters tick, a lease-resized journal record lands.
+  /// Bookkeeping shared by every resize path: a lease-resized record
+  /// moves boards_target to the lease size, counters tick.
   void record_resize(Record& r, const char* why) G6_REQUIRES(serial_m_);
   /// Queue pressure: shrink running autoscalable jobs toward boards_min
   /// to free boards for `blocked_id` before resorting to preemption.
@@ -249,16 +241,16 @@ class Scheduler {
   /// backoff, or quarantine after max_job_failures consecutive faults.
   void retry_or_quarantine(Record& r, const std::string& what)
       G6_REQUIRES(serial_m_);
-  /// Poison job: isolate it (terminal kQuarantined) and dump the flight
+  /// Poison job: isolate it (terminal kQuarantined) after `failures`
+  /// consecutive faults, the last one `what`, and dump the flight
   /// recorder next to its checkpoints for post-mortem.
-  void quarantine_job(Record& r, std::string message) G6_REQUIRES(serial_m_);
+  void quarantine_job(Record& r, int failures, const std::string& what)
+      G6_REQUIRES(serial_m_);
   /// Persist a job's last quantum-boundary state (rotating generations)
   /// and journal the checkpoint. No-op without durability or saved state.
   void checkpoint_job(Record& r) G6_REQUIRES(serial_m_);
   /// SIGTERM drain: checkpoint every live job, journal a drain record.
   void graceful_stop() G6_REQUIRES(serial_m_);
-  /// Append to the journal (if enabled), stamping the current round.
-  void journal_append(JournalRecord rec) G6_REQUIRES(serial_m_);
   /// Requeues-per-job histogram, observed once at each terminal state.
   void observe_terminal(const Record& r) G6_REQUIRES(serial_m_);
   std::string checkpoint_path(const std::string& job_name) const;

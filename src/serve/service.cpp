@@ -1,6 +1,5 @@
 #include "serve/service.hpp"
 
-#include "serve/recovery.hpp"
 #include "serve/scheduler.hpp"
 #include "util/check.hpp"
 
@@ -19,10 +18,7 @@ GrapeService::GrapeService(std::unique_ptr<Scheduler> impl)
 std::unique_ptr<GrapeService> GrapeService::recover(
     const std::string& journal_path, RecoveryInfo* info,
     std::atomic<bool>* stop_flag) {
-  RestoredService restored = recover_from_journal(journal_path);
-  restored.cfg.stop_flag = stop_flag;
-  if (info != nullptr) *info = restored.info;
-  auto scheduler = std::make_unique<Scheduler>(std::move(restored));
+  auto scheduler = Scheduler::recover(journal_path, info, stop_flag);
   // make_unique cannot reach the private constructor; `new` here is the
   // factory's own body, which can.
   return std::unique_ptr<GrapeService>(

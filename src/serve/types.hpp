@@ -148,7 +148,7 @@ struct JobReport {
 
   unsigned long long steps = 0;       ///< individual particle steps
   unsigned long long blocksteps = 0;
-  std::uint64_t quanta = 0;           ///< scheduling quanta executed
+  std::uint64_t quanta = 0;           ///< quanta completed without a fault
   std::uint64_t preemptions = 0;      ///< cooperative lease handoffs
   std::uint64_t revocations = 0;      ///< leases lost to board deaths
   int requeues = 0;                   ///< re-queues consumed (of max_requeues)
@@ -159,7 +159,7 @@ struct JobReport {
   double grape_virtual_s = 0.0;   ///< fair-share account: virtual GRAPE seconds
   obs::Eq10Accumulator eq10;      ///< per-job T_host + T_comm + T_GRAPE split
 
-  double e0 = 0.0;       ///< initial total energy
+  double e0 = 0.0;       ///< initial total energy (completed jobs)
   double e_final = 0.0;  ///< final total energy (completed jobs)
   /// |(E - E0)/E0|, 0 until completion.
   double energy_error() const;
@@ -250,7 +250,7 @@ struct ServiceStats {
 };
 
 /// What a --recover replay reconstructed (client-visible summary; the
-/// heavy lifting is in serve/recovery.hpp, internal).
+/// replay itself is Scheduler::recover, internal).
 struct RecoveryInfo {
   std::uint64_t journal_records = 0;   ///< complete records replayed
   bool torn_tail = false;              ///< final line was a torn write

@@ -110,6 +110,18 @@ void write_file_atomic_durable(
   fsync_parent_dir(path);
 }
 
+void truncate_file_durable(const std::string& path, std::uint64_t length) {
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  if (fd < 0) throw_errno("open", path);
+  if (::ftruncate(fd, static_cast<off_t>(length)) != 0 || ::fsync(fd) != 0) {
+    const int err = errno;
+    ::close(fd);
+    errno = err;
+    throw_errno("ftruncate+fsync", path);
+  }
+  if (::close(fd) != 0) throw_errno("close", path);
+}
+
 AppendLog::AppendLog(const std::string& path, bool truncate) : path_(path) {
   G6_REQUIRE_MSG(!path.empty(), "AppendLog: empty path");
   int flags = O_WRONLY | O_CREAT | O_APPEND;

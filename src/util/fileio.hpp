@@ -28,6 +28,7 @@
 //                              any crash; a torn write can only be the
 //                              final record.
 
+#include <cstdint>
 #include <functional>
 #include <ostream>
 #include <stdexcept>
@@ -58,6 +59,12 @@ void write_file_atomic(const std::string& path,
 void write_file_atomic_durable(
     const std::string& path,
     const std::function<void(std::ostream&)>& writer);
+
+/// Cut `path` to its first `length` bytes and fsync it: how a reader
+/// drops the torn tail of an append-only log before appending to it
+/// again (O_APPEND would otherwise glue the next record onto the
+/// fragment). Throws IoError on failure.
+void truncate_file_durable(const std::string& path, std::uint64_t length);
 
 /// Append-only log with per-append durability: each append(line) writes
 /// `line` plus a trailing newline and fsyncs before returning. This is

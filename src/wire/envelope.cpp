@@ -1,9 +1,11 @@
 #include "wire/envelope.hpp"
 
-#include <cmath>
+#include <limits>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "util/check.hpp"
 
@@ -24,13 +26,19 @@ double number_at(const JsonValue& obj, const std::string& key,
   return v->as_number();
 }
 
-std::size_t size_at(const JsonValue& obj, const std::string& key,
-                    const std::string& where) {
-  const double d = number_at(obj, key, where);
-  if (d < 0.0 || d != std::floor(d)) {
-    fail(where + ": key '" + key + "' must be a non-negative integer");
+template <typename Int = std::size_t>
+Int count_at(const JsonValue& obj, const std::string& key,
+             const std::string& where) {
+  std::optional<Int> v = obs::json_integer<Int>(number_at(obj, key, where));
+  if constexpr (std::is_signed_v<Int>) {
+    if (v && *v < 0) v.reset();
   }
-  return static_cast<std::size_t>(d);
+  if (!v) {
+    fail(where + ": key '" + key +
+         "' must be a non-negative integer (at most " +
+         std::to_string(std::numeric_limits<Int>::max()) + ")");
+  }
+  return *v;
 }
 
 std::string string_at(const JsonValue& obj, const std::string& key,
@@ -66,10 +74,10 @@ Envelope parse_envelope(std::string_view text) {
   }
   env.kind = string_at(env.root, "kind", "envelope");
   if (env.kind == "request") {
-    env.id = static_cast<std::uint64_t>(size_at(env.root, "id", "request"));
+    env.id = count_at<std::uint64_t>(env.root, "id", "request");
     env.method = string_at(env.root, "method", "request");
   } else if (env.kind == "response") {
-    env.id = static_cast<std::uint64_t>(size_at(env.root, "id", "response"));
+    env.id = count_at<std::uint64_t>(env.root, "id", "response");
     const JsonValue* ok = env.root.find("ok");
     if (ok == nullptr) fail("response: missing key 'ok'");
   } else if (env.kind == "event") {
@@ -110,17 +118,17 @@ serve::JobSpec decode_job_spec(const obs::JsonValue& j) {
   serve::JobSpec spec;
   spec.name = string_at(j, "name", where);
   if (j.find("model")) spec.model = string_at(j, "model", where);
-  if (j.find("n")) spec.n = size_at(j, "n", where);
+  if (j.find("n")) spec.n = count_at(j, "n", where);
   if (j.find("w0")) spec.w0 = number_at(j, "w0", where);
   if (j.find("t_end")) spec.t_end = number_at(j, "t_end", where);
   if (j.find("eps")) spec.eps = number_at(j, "eps", where);
   if (j.find("eta")) spec.eta = number_at(j, "eta", where);
   if (j.find("seed")) {
-    spec.seed = static_cast<unsigned>(size_at(j, "seed", where));
+    spec.seed = count_at<unsigned>(j, "seed", where);
   }
-  if (j.find("boards")) spec.boards = size_at(j, "boards", where);
-  if (j.find("boards_min")) spec.boards_min = size_at(j, "boards_min", where);
-  if (j.find("boards_max")) spec.boards_max = size_at(j, "boards_max", where);
+  if (j.find("boards")) spec.boards = count_at(j, "boards", where);
+  if (j.find("boards_min")) spec.boards_min = count_at(j, "boards_min", where);
+  if (j.find("boards_max")) spec.boards_max = count_at(j, "boards_max", where);
   if (j.find("priority")) {
     const std::string p = string_at(j, "priority", where);
     if (p == "interactive") {
@@ -132,11 +140,11 @@ serve::JobSpec decode_job_spec(const obs::JsonValue& j) {
     }
   }
   if (j.find("deadline_rounds")) {
-    spec.deadline_rounds = size_at(j, "deadline_rounds", where);
+    spec.deadline_rounds =
+        count_at<std::uint64_t>(j, "deadline_rounds", where);
   }
   if (j.find("chaos_fail_quanta")) {
-    spec.chaos_fail_quanta =
-        static_cast<int>(size_at(j, "chaos_fail_quanta", where));
+    spec.chaos_fail_quanta = count_at<int>(j, "chaos_fail_quanta", where);
   }
   return spec;
 }
@@ -158,7 +166,7 @@ ParticleSet decode_snapshot(const obs::JsonValue& j, double* t) {
   const std::string where = "snapshot";
   if (!j.is_object()) fail(where + " must be a JSON object");
   if (t != nullptr) *t = number_at(j, "t", where);
-  const std::size_t n = size_at(j, "n", where);
+  const std::size_t n = count_at(j, "n", where);
   const JsonValue* bodies = j.find("bodies");
   if (bodies == nullptr || !bodies->is_array()) {
     fail(where + ": key 'bodies' must be an array");

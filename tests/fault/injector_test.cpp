@@ -257,6 +257,21 @@ TEST(FaultPlanJson, RejectsUnknownKeysAndBadValues) {
                FaultError);
 }
 
+TEST(FaultPlanJson, RejectsIntegersOutOfRange) {
+  // "seed": -1 once became 2^64 - 1, and 1e300 a cast with undefined
+  // behaviour; both must be FaultErrors.
+  for (const char* doc :
+       {R"({"seed": -1})", R"({"seed": 18446744073709551616})",
+        R"({"seed": 1e300})", R"({"stuck_chips": [4294967297]})",
+        R"({"hard_failures": [{"board": 4294967297}]})",
+        R"({"hard_failures": [{"board": 0, "chip": 1e300}]})"}) {
+    EXPECT_THROW(FaultPlan::from_json(obs::JsonValue::parse(doc)), FaultError)
+        << doc;
+  }
+  const auto big = obs::JsonValue::parse(R"({"seed": 9007199254740992})");
+  EXPECT_EQ(FaultPlan::from_json(big).seed, 9007199254740992u);
+}
+
 TEST(FaultPlanJson, MissingFileThrows) {
   EXPECT_THROW(FaultPlan::from_file("/nonexistent/fault-plan.json"), FaultError);
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 
 namespace g6::obs {
@@ -67,6 +70,30 @@ TEST(JsonValue, WriterEscapeRoundTrip) {
   const std::string raw = "name with \"quotes\", \\slashes\\ and \n newlines";
   const JsonValue v = JsonValue::parse("\"" + json_escape(raw) + "\"");
   EXPECT_EQ(v.as_string(), raw);
+}
+
+TEST(JsonInteger, AcceptsExactlyTheValuesOfTheType) {
+  EXPECT_EQ(json_integer<int>(-2147483648.0), -2147483647 - 1);
+  EXPECT_EQ(json_integer<int>(2147483647.0), 2147483647);
+  EXPECT_EQ(json_integer<int>(2147483648.0), std::nullopt);
+  EXPECT_EQ(json_integer<int>(-2147483649.0), std::nullopt);
+  EXPECT_EQ(json_integer<unsigned>(4294967295.0), 4294967295u);
+  EXPECT_EQ(json_integer<unsigned>(4294967297.0), std::nullopt);
+  EXPECT_EQ(json_integer<unsigned>(-1.0), std::nullopt);
+  EXPECT_EQ(json_integer<unsigned>(-0.0), 0u);
+  // The largest double below 2^64 fits a uint64; 2^64 itself does not.
+  EXPECT_EQ(json_integer<std::uint64_t>(18446744073709549568.0),
+            18446744073709549568u);
+  EXPECT_EQ(json_integer<std::uint64_t>(18446744073709551616.0), std::nullopt);
+  EXPECT_EQ(json_integer<std::int64_t>(-9223372036854775808.0),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(json_integer<std::int64_t>(9223372036854775808.0), std::nullopt);
+  EXPECT_EQ(json_integer<std::size_t>(1e300), std::nullopt);
+  EXPECT_EQ(json_integer<int>(2.5), std::nullopt);
+  EXPECT_EQ(json_integer<int>(std::numeric_limits<double>::infinity()),
+            std::nullopt);
+  EXPECT_EQ(json_integer<int>(std::numeric_limits<double>::quiet_NaN()),
+            std::nullopt);
 }
 
 }  // namespace

@@ -197,6 +197,39 @@ TEST(JournalRecordTest, WrongSchemaAndTypesAreRejected) {
       JournalError);
 }
 
+TEST(JournalRecordTest, IntegersOutOfRangeAreRejected) {
+  const auto requeued = [](const std::string& failures) {
+    return "{\"seq\":4,\"type\":\"requeued\",\"round\":2,\"job\":1,"
+           "\"reason\":\"retry\",\"requeues\":0,\"failures\":" +
+           failures + ",\"hold_until\":3}";
+  };
+  EXPECT_EQ(decode_record(requeued("2")).failures, 2);
+  for (const char* v : {"4294967297", "-2147483649", "1e300"}) {
+    EXPECT_THROW(decode_record(requeued(v)), JournalError) << v;
+  }
+  const auto board_death = [](const std::string& seq,
+                              const std::string& board) {
+    return "{\"seq\":" + seq + ",\"type\":\"board-death\",\"round\":0," +
+           "\"board\":" + board + "}";
+  };
+  EXPECT_THROW(decode_record(board_death("-1", "1")), JournalError);
+  EXPECT_THROW(decode_record(board_death("18446744073709551616", "1")),
+               JournalError);
+  EXPECT_THROW(decode_record(board_death("1", "1e300")), JournalError);
+
+  // A 32-bit spec field: seed 2^32 + 1 must not come back as seed 1.
+  JournalRecord rec;
+  rec.seq = 2;
+  rec.type = JournalRecordType::kSubmitted;
+  rec.job = 1;
+  rec.spec = demo_spec();
+  std::string line = encode_record(rec);
+  const std::string seed = "\"seed\":42";
+  ASSERT_NE(line.find(seed), std::string::npos);
+  line.replace(line.find(seed), seed.size(), "\"seed\":4294967297");
+  EXPECT_THROW(decode_record(line), JournalError);
+}
+
 TEST(JournalRecordTest, RunTagFingerprintsTheDynamics) {
   const JobSpec a = demo_spec();
   JobSpec b = a;

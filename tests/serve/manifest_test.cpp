@@ -140,6 +140,39 @@ TEST(ServeManifest, RejectsBadServiceValues) {
                "board_deaths");
 }
 
+TEST(ServeManifest, RejectsIntegersOutOfRange) {
+  // A bare cast once mapped these onto other, valid settings
+  // (4294967297 -> 1 in a 32-bit field, 1e300 -> 0): each must be refused.
+  const auto job = [](const std::string& kv) {
+    return R"({"schema": "grape6-serve-manifest-v1", "jobs": [{"name": "a", )" +
+           kv + "}]}";
+  };
+  for (const char* kv :
+       {R"("seed": -1)", R"("seed": 4294967297)",
+        R"("n": 18446744073709551616)", R"("n": 1e300)",
+        R"("chaos_fail_quanta": 4294967297)"}) {
+    SCOPED_TRACE(kv);
+    expect_error(job(kv), "non-negative integer");
+  }
+  const auto service = [](const std::string& kv) {
+    return R"({"schema": "grape6-serve-manifest-v1", "service": {)" + kv +
+           R"(}, "jobs": [{"name": "a"}]})";
+  };
+  for (const char* kv :
+       {R"("max_requeues": -1)", R"("max_requeues": 4294967297)",
+        R"("max_queue_depth": 18446744073709551616)",
+        R"("backoff_base_rounds": 1e300)"}) {
+    SCOPED_TRACE(kv);
+    expect_error(service(kv), "non-negative integer");
+  }
+  // The edges of each type still parse.
+  EXPECT_EQ(parse_manifest(job(R"("seed": 4294967295)")).jobs[0].seed,
+            4294967295u);
+  EXPECT_EQ(parse_manifest(service(R"("max_requeues": 2147483647)"))
+                .service.max_requeues,
+            2147483647);
+}
+
 TEST(ServeManifest, LoadReportsMissingFile) {
   EXPECT_THROW(load_manifest("/nonexistent/manifest.json"), ManifestError);
 }

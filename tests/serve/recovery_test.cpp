@@ -11,11 +11,12 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "serve/journal.hpp"
-#include "serve/recovery.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/service.hpp"
 
@@ -42,6 +43,41 @@ JobSpec small_job(const std::string& name, unsigned seed,
   s.seed = seed;
   s.boards = boards;
   return s;
+}
+
+std::string read_file(const fs::path& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+void write_file(const fs::path& path, const std::string& content) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os << content;
+}
+
+bool is_terminal(JobState s) {
+  return s != JobState::kQueued && s != JobState::kRunning;
+}
+
+/// Terminal records (finished/failed/quarantined/rejected) per job id in
+/// the journal at `path`: exactly-once delivery means one each.
+std::map<JobId, int> terminal_records(const std::string& path) {
+  std::map<JobId, int> out;
+  for (const JournalRecord& rec : replay_journal(path).records) {
+    switch (rec.type) {
+      case JournalRecordType::kFinished:
+      case JournalRecordType::kFailed:
+      case JournalRecordType::kQuarantined:
+      case JournalRecordType::kRejected:
+        ++out[rec.job];
+        break;
+      default:
+        break;
+    }
+  }
+  return out;
 }
 
 void expect_bit_identical(const ParticleSet& a, const ParticleSet& b) {
@@ -140,37 +176,139 @@ TEST_F(ServeRecoveryTest, CrashMidFlightRecoversBitIdentically) {
 }
 
 TEST_F(ServeRecoveryTest, EveryCrashPointRecoversBitIdentically) {
-  // Sweep the crash over every round boundary until the natural end of
-  // the run: recovery must be a no-op detour at each of them. Job y
-  // carries autoscaling lease bounds so the sweep also crosses any
-  // lease-resized boundary the schedule produces.
-  JobSpec y = small_job("y", 6);
-  y.boards_min = 1;
-  y.boards_max = 2;
-  const std::vector<JobSpec> jobs = {small_job("x", 5), y};
-  const ServiceConfig cfg = durable_config();
-  const std::vector<ParticleSet> want = reference_run(jobs, cfg);
+  // Crash after every journal record, once cleanly and once mid-append
+  // (a torn fragment of the next record): recovery must be a no-op
+  // detour at each of them. The jobs cover every transition the journal
+  // records: an autoscaled lease, a scheduled board death, a job that
+  // faults and retries, a poison job and a deadline job.
 
-  for (std::uint64_t crash_after = 1;; ++crash_after) {
-    bool live = false;
-    {
-      Scheduler sched(cfg);
-      for (const JobSpec& s : jobs) ASSERT_TRUE(sched.submit(s).accepted);
-      live = sched.run_rounds(crash_after);
-    }
-    RestoredService restored =
-        recover_from_journal(cfg.durability.journal_path);
-    Scheduler resumed(std::move(restored));
-    resumed.run_until_drained();
-    const std::vector<JobId> ids = resumed.all_jobs();
-    ASSERT_EQ(ids.size(), 2u);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      ASSERT_EQ(resumed.state(ids[i]), JobState::kCompleted)
-          << "crash_after=" << crash_after;
+  // Starts on two boards and shrinks to one for the queued jobs.
+  JobSpec scaled = small_job("scaled", 6, 2);
+  scaled.boards_min = 1;
+  scaled.boards_max = 2;
+  JobSpec flaky = small_job("flaky", 7);
+  flaky.chaos_fail_quanta = 1;
+  JobSpec poison = small_job("poison", 8);
+  poison.chaos_fail_quanta = 100;
+  JobSpec doomed = small_job("doomed", 9);
+  doomed.t_end = 1.0;
+  doomed.deadline_rounds = 3;
+  const std::vector<JobSpec> jobs = {small_job("plain", 5), scaled, flaky,
+                                     poison, doomed};
+  ServiceConfig cfg = durable_config(3);
+  cfg.quantum_blocksteps = 16;
+  cfg.board_deaths.push_back({1, 0});
+
+  // Reference: the same service, never interrupted.
+  std::vector<JobState> want_state;
+  std::vector<ParticleSet> want;
+  {
+    ServiceConfig ref_cfg = cfg;
+    ref_cfg.durability = DurabilityConfig{};
+    Scheduler ref(ref_cfg);
+    for (const JobSpec& s : jobs) ASSERT_TRUE(ref.submit(s).accepted);
+    ref.run_until_drained();
+    for (JobId id = 1; id <= jobs.size(); ++id) {
+      want_state.push_back(ref.state(id));
       double t = 0.0;
-      expect_bit_identical(resumed.final_state(ids[i], &t), want[i]);
+      want.push_back(want_state.back() == JobState::kCompleted
+                         ? ref.final_state(id, &t)
+                         : ParticleSet{});
     }
-    if (!live) break;  // the "crash" landed after the run finished
+  }
+  ASSERT_EQ(want_state[0], JobState::kCompleted);
+  ASSERT_EQ(want_state[3], JobState::kQuarantined);
+  ASSERT_EQ(want_state[4], JobState::kFailed);
+
+  // The durable run, one round at a time; after the submissions and
+  // after every round, keep the journal length and a copy of the
+  // checkpoint dir as they stood.
+  const fs::path wal = cfg.durability.journal_path;
+  const fs::path ckpts = cfg.durability.checkpoint_dir;
+  const auto snap_dir = [this](std::size_t i) {
+    return dir_ / ("snap" + std::to_string(i));
+  };
+  std::vector<std::size_t> snap_bytes;
+  const auto snapshot = [&] {
+    fs::copy(ckpts, snap_dir(snap_bytes.size()), fs::copy_options::recursive);
+    snap_bytes.push_back(fs::file_size(wal));
+  };
+  {
+    Scheduler sched(cfg);
+    for (const JobSpec& s : jobs) ASSERT_TRUE(sched.submit(s).accepted);
+    snapshot();
+    while (sched.run_rounds(1)) snapshot();
+    snapshot();
+  }
+  const std::string journal = read_file(wal);
+  std::vector<std::size_t> ends;  // byte end of record k at ends[k - 1]
+  for (std::size_t p = journal.find('\n'); p != std::string::npos;
+       p = journal.find('\n', p + 1)) {
+    ends.push_back(p + 1);
+  }
+  {
+    std::map<JournalRecordType, int> seen;
+    for (const JournalRecord& rec : replay_journal(wal.string()).records) {
+      ++seen[rec.type];
+    }
+    for (const JournalRecordType t :
+         {JournalRecordType::kLeaseResized, JournalRecordType::kBoardDeath,
+          JournalRecordType::kRequeued, JournalRecordType::kQuarantined,
+          JournalRecordType::kFailed, JournalRecordType::kCheckpointed,
+          JournalRecordType::kFinished}) {
+      ASSERT_GT(seen[t], 0) << "the sweep never crosses a '"
+                            << journal_record_type_name(t) << "' record";
+    }
+  }
+
+  for (std::size_t k = 1; k <= ends.size(); ++k) {
+    // The checkpoint dir as it stood at the end of record k's round.
+    std::size_t snap = 0;
+    while (snap_bytes[snap] < ends[k - 1]) ++snap;
+    for (const bool torn : {false, true}) {
+      if (torn && k == ends.size()) continue;
+      SCOPED_TRACE("crash after record " + std::to_string(k) +
+                   (torn ? " + torn fragment" : ""));
+      std::string prefix = journal.substr(0, ends[k - 1]);
+      if (torn) prefix += journal.substr(ends[k - 1], 20);
+      write_file(wal, prefix);
+      fs::remove_all(ckpts);
+      fs::copy(snap_dir(snap), ckpts, fs::copy_options::recursive);
+
+      RecoveryInfo info;
+      auto service = GrapeService::recover(wal.string(), &info);
+      EXPECT_EQ(info.torn_tail, torn);
+      EXPECT_EQ(info.journal_records, k);
+      // A client that never saw its submission acknowledged sends it
+      // again.
+      for (std::size_t i = service->jobs().size(); i < jobs.size(); ++i) {
+        ASSERT_TRUE(service->submit(jobs[i]).accepted);
+      }
+      service->run_until_drained();
+      for (JobId id = 1; id <= jobs.size(); ++id) {
+        ASSERT_EQ(service->state(id), want_state[id - 1])
+            << jobs[id - 1].name;
+        if (want_state[id - 1] != JobState::kCompleted) continue;
+        double t = 0.0;
+        expect_bit_identical(service->final_state(id, &t), want[id - 1]);
+      }
+      service.reset();
+      const std::map<JobId, int> terminal = terminal_records(wal.string());
+      ASSERT_EQ(terminal.size(), jobs.size());
+      for (const auto& [id, n] : terminal) EXPECT_EQ(n, 1) << "job " << id;
+
+      // The journal a recovery leaves behind recovers again.
+      RecoveryInfo again_info;
+      auto again = GrapeService::recover(wal.string(), &again_info);
+      EXPECT_FALSE(again_info.torn_tail);
+      EXPECT_EQ(again_info.jobs_restored, 0u);
+      for (JobId id = 1; id <= jobs.size(); ++id) {
+        ASSERT_EQ(again->state(id), want_state[id - 1]);
+        if (want_state[id - 1] != JobState::kCompleted) continue;
+        double t = 0.0;
+        expect_bit_identical(again->final_state(id, &t), want[id - 1]);
+      }
+    }
   }
 }
 
@@ -188,20 +326,30 @@ TEST_F(ServeRecoveryTest, FiredBoardDeathIsNotReplayed) {
     for (const JobSpec& s : jobs) ASSERT_TRUE(sched.submit(s).accepted);
     ASSERT_TRUE(sched.run_rounds(2));  // death at round 1 has fired
   }
-  RestoredService restored =
-      recover_from_journal(cfg.durability.journal_path);
-  ASSERT_EQ(restored.fired_deaths.size(), 1u);
-  EXPECT_EQ(restored.fired_deaths[0].board, 0u);
-  Scheduler resumed(std::move(restored));
-  EXPECT_EQ(resumed.healthy_boards(), 2u);
-  resumed.run_until_drained();
-  EXPECT_EQ(resumed.stats().boards_dead, 1u);
+  const auto board_deaths = [&cfg] {
+    std::vector<std::size_t> boards;
+    for (const JournalRecord& rec :
+         replay_journal(cfg.durability.journal_path).records) {
+      if (rec.type == JournalRecordType::kBoardDeath) {
+        boards.push_back(rec.board);
+      }
+    }
+    return boards;
+  };
+  ASSERT_EQ(board_deaths(), std::vector<std::size_t>{0});
+  auto resumed = GrapeService::recover(cfg.durability.journal_path);
+  EXPECT_EQ(resumed->healthy_boards(), 2u);
+  EXPECT_EQ(resumed->stats().boards_dead, 1u);
+  resumed->run_until_drained();
+  EXPECT_EQ(resumed->stats().boards_dead, 1u);
+  // The death stayed fired: the resumed run journaled none of its own.
+  EXPECT_EQ(board_deaths(), std::vector<std::size_t>{0});
 
-  const std::vector<JobId> ids = resumed.all_jobs();
+  const std::vector<JobId> ids = resumed->jobs();
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    ASSERT_EQ(resumed.state(ids[i]), JobState::kCompleted);
+    ASSERT_EQ(resumed->state(ids[i]), JobState::kCompleted);
     double t = 0.0;
-    expect_bit_identical(resumed.final_state(ids[i], &t), want[i]);
+    expect_bit_identical(resumed->final_state(ids[i], &t), want[i]);
   }
 }
 
@@ -248,6 +396,16 @@ TEST_F(ServeRecoveryTest, TornTailIsDroppedAndRecoveryProceeds) {
   EXPECT_TRUE(info.torn_tail);
   service->run_until_drained();
   EXPECT_EQ(service->stats().completed, 1u);
+  service.reset();
+
+  // The fragment was cut before the journal continued, so the journal
+  // this recovery leaves behind recovers again.
+  RecoveryInfo again_info;
+  auto again =
+      GrapeService::recover(cfg.durability.journal_path, &again_info);
+  EXPECT_FALSE(again_info.torn_tail);
+  EXPECT_EQ(again_info.jobs_already_terminal, 1u);
+  EXPECT_EQ(again->stats().completed, 1u);
 }
 
 TEST_F(ServeRecoveryTest, MalformedJournalIsRejected) {
@@ -354,22 +512,74 @@ TEST_F(ServeRecoveryTest, LeaseResizeSurvivesCrashBitIdentically) {
     EXPECT_EQ(boards_at_crash, 2u);  // grew into the freed board
   }  // abandoned un-drained: the crash
 
-  RestoredService restored =
-      recover_from_journal(cfg.durability.journal_path);
-  ASSERT_EQ(restored.jobs.size(), 2u);
-  EXPECT_EQ(restored.jobs[0].resizes, resizes_at_crash);
-  EXPECT_EQ(restored.jobs[0].boards_now, boards_at_crash);
+  auto resumed = GrapeService::recover(cfg.durability.journal_path);
+  ASSERT_EQ(resumed->jobs().size(), 2u);
+  EXPECT_EQ(resumed->report(1).resizes, resizes_at_crash);
+  EXPECT_EQ(resumed->report(1).boards_now, boards_at_crash);
 
-  Scheduler resumed(std::move(restored));
-  resumed.run_until_drained();
-  const std::vector<JobId> ids = resumed.all_jobs();
+  resumed->run_until_drained();
+  const std::vector<JobId> ids = resumed->jobs();
   ASSERT_EQ(ids.size(), 2u);
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    ASSERT_EQ(resumed.state(ids[i]), JobState::kCompleted) << jobs[i].name;
+    ASSERT_EQ(resumed->state(ids[i]), JobState::kCompleted) << jobs[i].name;
     double t = 0.0;
-    expect_bit_identical(resumed.final_state(ids[i], &t), want[i]);
+    expect_bit_identical(resumed->final_state(ids[i], &t), want[i]);
   }
-  EXPECT_GE(resumed.report(ids[0]).resizes, resizes_at_crash);
+  EXPECT_GE(resumed->report(ids[0]).resizes, resizes_at_crash);
+}
+
+TEST_F(ServeRecoveryTest, LiveAndReplayedReportsMatch) {
+  // One state machine: replaying a drained run's whole journal must land
+  // every journaled report field exactly where the live run left it, for
+  // every way a job can end — completed, failed on its deadline,
+  // rejected as a duplicate, quarantined, and re-queued by a board death.
+  ServiceConfig cfg = durable_config(3);
+  cfg.board_deaths.push_back({1, 0});  // revokes job 1's round-0 lease
+  JobSpec doomed = small_job("doomed", 62);
+  doomed.t_end = 1.0;
+  doomed.deadline_rounds = 2;
+  JobSpec poison = small_job("poison", 63);
+  poison.chaos_fail_quanta = 100;
+  const std::vector<JobSpec> jobs = {small_job("moved", 61), doomed,
+                                     small_job("moved", 64), poison,
+                                     small_job("plain", 65)};
+
+  std::vector<JobReport> live;
+  {
+    Scheduler sched(cfg);
+    for (const JobSpec& s : jobs) sched.submit(s);
+    sched.run_until_drained();
+    for (const JobId id : sched.all_jobs()) live.push_back(sched.report(id));
+  }
+  ASSERT_EQ(live.size(), jobs.size());
+  EXPECT_EQ(live[0].state, JobState::kCompleted);
+  EXPECT_EQ(live[0].requeues, 1);
+  EXPECT_EQ(live[1].state, JobState::kFailed);
+  EXPECT_EQ(live[1].reject_reason, RejectReason::kDeadlineExceeded);
+  EXPECT_EQ(live[2].state, JobState::kRejected);
+  EXPECT_EQ(live[3].state, JobState::kQuarantined);
+  EXPECT_EQ(live[4].state, JobState::kCompleted);
+
+  auto replayed = GrapeService::recover(cfg.durability.journal_path);
+  ASSERT_EQ(replayed->jobs().size(), jobs.size());
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    const JobReport& a = live[i];
+    const JobReport b = replayed->report(a.id);
+    SCOPED_TRACE(a.name + " (job " + std::to_string(a.id) + ")");
+    EXPECT_EQ(b.state, a.state);
+    EXPECT_EQ(b.reject_reason, a.reject_reason);
+    EXPECT_EQ(b.message, a.message);
+    EXPECT_EQ(b.quanta, a.quanta);
+    EXPECT_EQ(b.t_reached, a.t_reached);
+    EXPECT_EQ(b.steps, a.steps);
+    EXPECT_EQ(b.blocksteps, a.blocksteps);
+    EXPECT_EQ(b.requeues, a.requeues);
+    EXPECT_EQ(b.failures, a.failures);
+    EXPECT_EQ(b.boards_now, a.boards_now);
+    EXPECT_EQ(b.resizes, a.resizes);
+    EXPECT_EQ(b.e0, a.e0);
+    EXPECT_EQ(b.e_final, a.e_final);
+  }
 }
 
 TEST_F(ServeRecoveryTest, SigtermDrainCheckpointsAndResumes) {

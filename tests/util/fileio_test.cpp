@@ -132,6 +132,25 @@ TEST_F(FileIoTest, AppendLogTruncateStartsFresh) {
   EXPECT_EQ(slurp(p), "only\n");
 }
 
+TEST_F(FileIoTest, TruncateDropsATornTailBeforeAppendingAgain) {
+  const std::string p = path("log.wal");
+  {
+    AppendLog log(p, /*truncate=*/true);
+    log.append("whole");
+  }
+  {
+    std::ofstream os(p, std::ios::app | std::ios::binary);
+    os << "tor";  // a crash mid-append
+  }
+  truncate_file_durable(p, 6);
+  {
+    AppendLog log(p, /*truncate=*/false);
+    log.append("next");
+  }
+  EXPECT_EQ(slurp(p), "whole\nnext\n");
+  EXPECT_THROW(truncate_file_durable(path("missing.wal"), 0), IoError);
+}
+
 TEST_F(FileIoTest, AppendLogRejectsEmbeddedNewline) {
   AppendLog log(path("log.wal"), /*truncate=*/true);
   EXPECT_THROW(log.append("two\nlines"), std::exception);

@@ -83,6 +83,30 @@ TEST(WireEnvelope, EventMissingNameThrows) {
                WireError);
 }
 
+TEST(WireEnvelope, IntegersOutOfRangeThrow) {
+  // Socket clients send these: an out-of-range integer must be a
+  // WireError, never a cast with undefined behaviour.
+  for (const char* id : {"-1", "18446744073709551616", "1e300"}) {
+    EXPECT_THROW(
+        parse(std::string(R"({"schema":"grape6-wire-v1","kind":"request",)") +
+              R"("id":)" + id + R"(,"method":"ping"})"),
+        WireError)
+        << id;
+  }
+  for (const char* kv :
+       {R"("seed":-1)", R"("seed":4294967297)", R"("n":18446744073709551616)",
+        R"("n":1e300)", R"("chaos_fail_quanta":4294967297)"}) {
+    EXPECT_THROW(decode_job_spec(obs::JsonValue::parse(
+                     std::string(R"({"name":"a",)") + kv + "}")),
+                 WireError)
+        << kv;
+  }
+  EXPECT_EQ(decode_job_spec(obs::JsonValue::parse(
+                                R"({"name":"a","seed":4294967295})"))
+                .seed,
+            4294967295u);
+}
+
 // ---------------------------------------------------------------- specs
 
 serve::JobSpec round_trip(const serve::JobSpec& spec) {

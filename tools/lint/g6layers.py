@@ -87,7 +87,6 @@ SERVE_INTERNAL_HEADERS = (
     "serve/admission.hpp",
     "serve/job.hpp",
     "serve/journal.hpp",
-    "serve/recovery.hpp",
 )
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+["<]([^">]+)[">]')

@@ -301,12 +301,11 @@ SERVE_INTERNAL_HEADERS = (
     "serve/admission.hpp",
     "serve/job.hpp",
     "serve/journal.hpp",
-    "serve/recovery.hpp",
 )
 SERVE_INTERNAL_RE = re.compile(
     r"\bserve::(?:JobQueue|Scheduler|BoardPartitioner|AdmissionController|"
     r"JobRuntime|SavedJob|AdmissionDecision|BoardLease|Journal|"
-    r"JournalRecord|JournalReplay|RestoredService|RestoredJob)\b")
+    r"JournalRecord|JournalReplay)\b")
 SERVE_ISOLATION_SCOPE_PREFIXES = ("src/", "tools/", "bench/", "examples/")
 
 # AoS containers of the j-memory word: allowed only in the layers that
