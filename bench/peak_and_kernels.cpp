@@ -114,18 +114,14 @@ void BM_BlockFloatAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockFloatAdd);
 
-// Whole-chip pass (48-slot i-block against a populated j-memory). Its
-// items/s is the chip-pass interaction rate gated by
-// scripts/bench_regress.py. nj = 1 and 32 are the per-chip j counts of
-// perfbench's serve_volatile (N = 64 over 64 chips) and integrate
-// (N = 2048 over 64 chips) workloads; nj = 512 is the long-stream row.
-void BM_ChipPass(benchmark::State& state) {
-  const std::size_t n_j = static_cast<std::size_t>(state.range(0));
+// Whole-chip pass: an i-block of `n_i` slots against `n_j` stored
+// j-particles. Its items/s is the chip-pass interaction rate.
+void chip_pass(benchmark::State& state, std::size_t n_j, std::size_t n_i) {
   const MachineConfig mc;
   const NumberFormats fmt;
   Chip chip(mc, fmt);
   Rng rng(7);
-  const ParticleSet set = make_plummer(n_j + 48, rng);
+  const ParticleSet set = make_plummer(n_j + n_i, rng);
   chip.reserve_slots(n_j);
   for (std::size_t s = 0; s < n_j; ++s) {
     JParticle jp;
@@ -134,7 +130,7 @@ void BM_ChipPass(benchmark::State& state) {
     jp.vel = set[s].vel;
     chip.write(s, quantize_j_particle(jp, static_cast<std::uint32_t>(s), fmt));
   }
-  std::vector<IParticlePacket> iblock(mc.i_parallelism());
+  std::vector<IParticlePacket> iblock(n_i);
   for (std::size_t k = 0; k < iblock.size(); ++k) {
     PredictedState p;
     p.pos = set[n_j + k].pos;
@@ -151,7 +147,30 @@ void BM_ChipPass(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n_j * iblock.size()));
 }
+
+// A full 48-slot i-block; the row gated by scripts/bench_regress.py.
+// nj = 1 and 32 are about the per-chip j counts of perfbench's
+// serve_volatile and integrate workloads; nj = 512 is the long-stream row.
+void BM_ChipPass(benchmark::State& state) {
+  chip_pass(state, static_cast<std::size_t>(state.range(0)),
+            MachineConfig{}.i_parallelism());
+}
 BENCHMARK(BM_ChipPass)->Arg(1)->Arg(32)->Arg(512)->ArgName("nj");
+
+// Partial i-blocks, where lanes across i-slots run part empty: ni = 10 at
+// one j is serve_volatile's mean block on a sparsely filled chip; ni = 1,
+// 4 and 13 at nj = 32 are one lane group alone, one full group, and three
+// full groups and one slot.
+void BM_ChipPassBlock(benchmark::State& state) {
+  chip_pass(state, static_cast<std::size_t>(state.range(0)),
+            static_cast<std::size_t>(state.range(1)));
+}
+BENCHMARK(BM_ChipPassBlock)
+    ->Args({1, 10})
+    ->Args({32, 1})
+    ->Args({32, 4})
+    ->Args({32, 13})
+    ->ArgNames({"nj", "ni"});
 
 void BM_OctreeBuild(benchmark::State& state) {
   Rng rng(1);

@@ -21,14 +21,10 @@ std::uint64_t Chip::run_pass(double t, std::span<const IParticlePacket> iblock,
   }
 
   // Pass-local scratch, reused across passes on the same thread. One
-  // predict over the whole j-memory, then each i-slot streams the batch
-  // in ascending j.
+  // predict over the whole j-memory, broadcast to the whole i-block.
   static thread_local PredictorUnit::PredictedBatch batch;
   predictor_.predict_batch(memory_, t, batch);
-  for (std::size_t k = 0; k < iblock.size(); ++k) {
-    pipeline_.interact_batch(batch, iblock[k], eps2, out[k],
-                             neighbors.empty() ? nullptr : &neighbors[k]);
-  }
+  pipeline_.interact_block(batch, iblock, eps2, out, neighbors);
 
   // Output-register faults (stuck pipelines, hard-dead chips, transient
   // glitches) hit after accumulation, exactly where the real chip's

@@ -557,6 +557,7 @@ ForceTicket GrapeForceEngine::submit_block(double t,
   }
   if (ranges.empty()) ranges.emplace_back(0, 0);
   cs->accts.resize(ranges.size());
+  if (chunk_scratch_.size() < ranges.size()) chunk_scratch_.resize(ranges.size());
 
   // The injector's RNG stream (and the vote/retransmit scratch) requires
   // the serial inline path; it also makes TransientFaults surface from
@@ -577,9 +578,9 @@ ForceTicket GrapeForceEngine::submit_block(double t,
     const std::size_t e = ranges[c].second;
     tk.dispatch(
         c,
-        [this, cs, t, block, radii2, out, neighbors, b, e, c, parallel] {
+        [this, cs, t, block, out, neighbors, b, e, c, parallel] {
           if (b == e) return;
-          run_chunk(t, block, radii2, out, neighbors, b, e, parallel,
+          run_chunk(t, block, out, neighbors, b, e, parallel, chunk_scratch_[c],
                     cs->accts[c]);
         },
         parallel);
@@ -588,12 +589,11 @@ ForceTicket GrapeForceEngine::submit_block(double t,
 }
 
 void GrapeForceEngine::run_chunk(double t, std::span<const PredictedState> block,
-                                 std::span<const double> radii2,
                                  std::span<Force> out,
                                  std::span<NeighborResult> neighbors,
                                  std::size_t begin, std::size_t end,
-                                 bool parallel, ChunkAcct& acct) {
-  (void)radii2;  // radii already folded into the packets by the prologue
+                                 bool parallel, ChunkScratch& scratch,
+                                 ChunkAcct& acct) {
   const bool want_nb = !neighbors.empty();
   const std::span<const IParticlePacket> pass{packets_buf_.data() + begin,
                                               end - begin};
@@ -602,7 +602,8 @@ void GrapeForceEngine::run_chunk(double t, std::span<const PredictedState> block
                                               end - begin};
     verify_i_packets(t, pass_mut, acct.extra_seconds, acct.extra_dma_bytes);
   }
-  std::vector<BlockExponents> pass_exps(pass.size());
+  std::vector<BlockExponents>& pass_exps = scratch.exps;
+  pass_exps.resize(pass.size());
   for (std::size_t k = 0; k < pass.size(); ++k) {
     // i-particles are keyed by *global* id, which is not necessarily a
     // locally stored j-particle (probe points, foreign i-particles in
@@ -611,12 +612,12 @@ void GrapeForceEngine::run_chunk(double t, std::span<const PredictedState> block
     pass_exps[k] = gid < exps_.size() ? exps_[gid] : BlockExponents{};
   }
 
-  // Chunk-local result banks: concurrent chunks share nothing but the
-  // (read-only) packets and the boards, whose passes are reentrant.
-  std::vector<HwAccumulators> merged;
-  std::vector<HwAccumulators> vote_bank;
-  std::vector<HwNeighborRecorder> pass_nb;
-  PassBanks banks;
+  // Result banks: concurrent chunks share nothing but the (read-only)
+  // packets and the boards, whose passes are reentrant.
+  std::vector<HwAccumulators>& merged = scratch.merged;
+  std::vector<HwAccumulators>& vote_bank = scratch.vote_bank;
+  std::vector<HwNeighborRecorder>& pass_nb = scratch.nb;
+  PassBanks& banks = scratch.banks;
   // Total neighbor capacity visible to the host: one FIFO per chip.
   const std::size_t host_nb_capacity =
       mc_.neighbor_buffer_per_chip * mc_.chips_per_host();

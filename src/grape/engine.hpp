@@ -212,13 +212,24 @@ class GrapeForceEngine final : public ForceEngine {
                         std::vector<HwAccumulators>& out,
                         std::span<HwNeighborRecorder> neighbors,
                         PassBanks& banks, bool parallel);
-  /// Evaluate block[begin, end) — retry loops, decode, exponent refresh.
-  /// All scratch is chunk-local; exps_ writes are disjoint (block members
-  /// are unique particles).
+  /// One chunk's pass exponents, result banks and summation-tree banks.
+  /// Engine-owned, one per chunk index, so a chunk allocates nothing once
+  /// its slot has grown to the working size. Not thread_local: a chunk
+  /// task waiting in group.wait() can steal another chunk on its thread.
+  struct ChunkScratch {
+    std::vector<BlockExponents> exps;
+    std::vector<HwAccumulators> merged;
+    std::vector<HwAccumulators> vote_bank;
+    std::vector<HwNeighborRecorder> nb;
+    PassBanks banks;
+  };
+  /// Evaluate block[begin, end) — retry loops, decode, exponent refresh —
+  /// in `scratch`, which no other chunk of the call touches; exps_ writes
+  /// are disjoint (block members are unique particles).
   void run_chunk(double t, std::span<const PredictedState> block,
-                 std::span<const double> radii2, std::span<Force> out,
-                 std::span<NeighborResult> neighbors, std::size_t begin,
-                 std::size_t end, bool parallel, ChunkAcct& acct);
+                 std::span<Force> out, std::span<NeighborResult> neighbors,
+                 std::size_t begin, std::size_t end, bool parallel,
+                 ChunkScratch& scratch, ChunkAcct& acct);
   void fold_call(const CallState& cs);
 
   FaultCharges fault_prologue(double t);
@@ -259,6 +270,7 @@ class GrapeForceEngine final : public ForceEngine {
   // submission while one is outstanding.
   std::vector<IParticlePacket> packets_buf_;
   PassBanks partial_banks_;
+  std::vector<ChunkScratch> chunk_scratch_;  ///< sized by submit_block
   bool inflight_ = false;
 
   // fault tolerance (inactive until enable_fault_tolerance)

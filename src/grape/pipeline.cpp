@@ -1,11 +1,11 @@
 // The predictor and force pipelines of the GRAPE-6 chip (pipeline.hpp).
 //
 // Each pipeline's op chain is written once, as a template over the value
-// type: `double` with FloatFormat's scalar ops (predict(), interact() and
-// the kernels' scalar recompute), or Lanes<W> with LaneFormat<W>'s lane ops
-// (predict_batch() at W = 2, stage 1 of interact_batch() at W = 2 or 4).
-// Bit-identity of the instantiations holds by construction — same ops,
-// same association order, one rounding per emulated unit — and
+// type: `double` with FloatFormat's scalar ops (predict(), interact()), or
+// lanes with LaneFormat<W>'s lane ops — Lanes<2> in predict_batch(), and
+// in interact_block() a Twin of two Lanes<W> (W = 2 or 4), two chains run
+// op by op. Bit-identity of the instantiations holds by construction —
+// same ops, same association order, one rounding per emulated unit — and
 // tests/grape/pipeline_crosscheck_test.cpp checks it at every width the
 // host runs. No -ffast-math anywhere, and the library pins
 // -ffp-contract=off (src/CMakeLists.txt), which the x86-64-v3 function
@@ -69,12 +69,10 @@ void predictor_chain(Ops& pf, Ops& vf, V dt, V vel, V acc, V jerk, V snap,
 // --- predictor -------------------------------------------------------------
 
 PredictorUnit::PredictorUnit(const NumberFormats& fmt)
-    : fmt_(fmt), codec_(fmt.coord_range) {
-  if (LaneFormat<2>::supports(fmt.predictor) && LaneFormat<2>::supports(fmt.velocity)) {
-    pf_lanes_.emplace(fmt.predictor);
-    vf_lanes_.emplace(fmt.velocity);
-  }
-}
+    : fmt_(fmt),
+      codec_(fmt.coord_range),
+      lanes_(LaneFormat<2>::supports(fmt.predictor) &&
+             LaneFormat<2>::supports(fmt.velocity)) {}
 
 PredictorUnit::Predicted PredictorUnit::predict(const StoredJParticle& j,
                                                 double t) const {
@@ -126,14 +124,14 @@ void PredictorUnit::predict_batch(const JStore& j, double t,
                                   PredictedBatch& out) const {
   const std::size_t n = j.size();
   out.resize(n);
-  if (!pf_lanes_) {
+  if (!lanes_) {
     for (std::size_t k = 0; k < n; ++k) out.set(k, predict(j.get(k), t));
     return;
   }
   // Two slots per step with the lane ops; a pair with a flagged lane is
   // predicted again with the scalar ops. An odd tail repeats its last slot.
-  LaneFormat<2> pf = *pf_lanes_;
-  LaneFormat<2> vf = *vf_lanes_;
+  LaneFormat<2> pf(fmt_.predictor);
+  LaneFormat<2> vf(fmt_.velocity);
   for (std::size_t k = 0; k < n; k += 2) {
     const std::size_t k1 = k + 1 < n ? k + 1 : k;
     const auto lanes = [&](std::span<const double> col) {
@@ -177,10 +175,86 @@ struct Addends {
   V pot;
 };
 
+/// Two op chains side by side, run op by op in one instruction stream so
+/// each hides the other's latency: exact_chain's operators and op_chain's
+/// ops (TwinFormat, each chain with its own flag register) on both.
+template <class T>
+struct Twin {
+  T a, b;
+};
+// g6lint: begin-allow(raw-float) -- exact_chain's operators, the
+// IEEE-double reference path, applied to both chains.
+template <class T>
+[[gnu::always_inline]] inline Twin<T> operator+(const Twin<T>& x,
+                                                 const Twin<T>& y) {
+  return {x.a + y.a, x.b + y.b};
+}
+template <class T>
+[[gnu::always_inline]] inline Twin<T> operator-(const Twin<T>& x,
+                                                 const Twin<T>& y) {
+  return {x.a - y.a, x.b - y.b};
+}
+template <class T>
+[[gnu::always_inline]] inline Twin<T> operator*(const Twin<T>& x,
+                                                 const Twin<T>& y) {
+  return {x.a * y.a, x.b * y.b};
+}
+template <class T>
+[[gnu::always_inline]] inline Twin<T> operator-(const Twin<T>& x) {
+  return {-x.a, -x.b};
+}
+template <class T>
+[[gnu::always_inline]] inline Twin<T> operator*(double c, const Twin<T>& x) {
+  return {c * x.a, c * x.b};
+}
+template <class T>
+[[gnu::always_inline]] inline Twin<T> operator/(double c, const Twin<T>& x) {
+  return {c / x.a, c / x.b};
+}
+template <class T>
+[[gnu::always_inline]] inline Twin<T> sqrt(const Twin<T>& x) {
+  return {sqrt(x.a), sqrt(x.b)};
+}
+// g6lint: end-allow(raw-float)
+
+template <int W>
+struct TwinFormat {
+  using V = Twin<Lanes<W>>;
+  LaneFormat<W> a, b;
+
+  [[gnu::always_inline]] V quantize(const V& x) {
+    return {a.quantize(x.a), b.quantize(x.b)};
+  }
+  [[gnu::always_inline]] V add(const V& x, const V& y) {
+    return {a.add(x.a, y.a), b.add(x.b, y.b)};
+  }
+  [[gnu::always_inline]] V sub(const V& x, const V& y) {
+    return {a.sub(x.a, y.a), b.sub(x.b, y.b)};
+  }
+  [[gnu::always_inline]] V mul(const V& x, const V& y) {
+    return {a.mul(x.a, y.a), b.mul(x.b, y.b)};
+  }
+  [[gnu::always_inline]] V mul(const V& x, double c) {
+    return {a.mul(x.a, c), b.mul(x.b, c)};
+  }
+  [[gnu::always_inline]] V rsqrt(const V& x) { return {a.rsqrt(x.a), b.rsqrt(x.b)}; }
+};
+
+/// The codec's decode on a word, lanes or a Twin of lanes.
+template <class Word>
+[[gnu::always_inline]] inline auto decode(const FixedPointCodec& c, const Word& w) {
+  return c.decode(w);
+}
+template <int W>
+[[gnu::always_inline]] inline Twin<Lanes<W>> decode(const FixedPointCodec& c,
+                                                    const Twin<LaneInts<W>>& w) {
+  return {c.decode(w.a), c.decode(w.b)};
+}
+
 /// The Fig 8 op chain in the pipeline format, from the exact fixed-point
 /// difference x_j - x_i and the two velocities. `f` is the FloatFormat
-/// (V = double) or a LaneFormat<W> (V = Lanes<W>); Word is the matching
-/// 64-bit word.
+/// (V = double) or a TwinFormat<W> (V = Twin<Lanes<W>>); Word is the
+/// matching 64-bit word.
 template <class Ops, class V, class Word>
 [[gnu::always_inline]] inline Addends<V> op_chain(Ops& f, const FixedPointCodec& codec,
                                                   const Word (&diff)[3],
@@ -191,7 +265,7 @@ template <class Ops, class V, class Word>
   V dx[3];
   V dv[3];
   for (int d = 0; d < 3; ++d) {
-    dx[d] = f.quantize(codec.decode(diff[d]));
+    dx[d] = f.quantize(decode(codec, diff[d]));
     dv[d] = f.sub(jvel[d], ivel[d]);
   }
 
@@ -223,7 +297,7 @@ template <class Ops, class V, class Word>
 }
 
 /// Wide-format A/B mode (NumberFormats::exact()): plain double arithmetic,
-/// on one pair (V = double) or W (V = Lanes<W>).
+/// on one pair (V = double) or two lane groups (V = Twin<Lanes<W>>).
 template <class V, class Word>
 [[gnu::always_inline]] inline Addends<V> exact_chain(const FixedPointCodec& codec,
                                                      const Word (&diff)[3],
@@ -238,7 +312,7 @@ template <class V, class Word>
   V dx[3];
   V dv[3];
   for (int d = 0; d < 3; ++d) {
-    dx[d] = codec.decode(diff[d]);
+    dx[d] = decode(codec, diff[d]);
     dv[d] = jvel[d] - ivel[d];
   }
   Addends<V> a;
@@ -268,106 +342,229 @@ void accumulate(const Addends<double>& a, std::uint32_t j_index, double h2,
   out.pot.add(a.pot);
 }
 
-/// j-slots per stage-1 block: the granule of the scalar recompute.
-constexpr std::size_t kBlock = 64;
-
-/// Stage 1's output for one block, column by column: each slot's r^2 word
-/// and its seven addends in HwPartialWords order (acc x/y/z, jerk x/y/z,
-/// pot). The self slot's addends are +0.0, which BlockFloatAccumulator::add
-/// skips, so stage 2 adds every column entry.
-struct BlockColumns {
-  double r2[kBlock];
-  double word[HwPartialWords::kWords][kBlock];
-};
-
-/// What stage 1 reads besides the j columns: the i-particle and the
-/// quantized eps^2.
-struct Stage1Inputs {
-  const PredictorUnit::PredictedBatch& j;
+/// One chip pass as the kernel sees it. `eps2` is as given (interact()
+/// quantizes it itself), `e2` is the op chains' eps^2 word, `pf` the
+/// pipeline format (null in the exact mode, where h2 is not quantized).
+struct PassInputs {
+  const ForcePipeline& pipeline;
   const FixedPointCodec& codec;
-  const IParticlePacket& ip;
+  const FloatFormat* pf;
+  const PredictorUnit::PredictedBatch& j;
+  std::span<const IParticlePacket> iblock;
+  std::span<HwAccumulators> out;
+  std::span<HwNeighborRecorder> neighbors;  ///< empty: no neighbor collection
+  double eps2;
   double e2;
 };
 
-/// Stage 1 for the W slots k.. of a block, written to columns g..: the op
-/// chain on W lanes, addends masked to +0.0 on the self slot. With Splat,
-/// slot k alone fills every lane and only lane 0 is stored as live (the
-/// last slot of an odd remainder). `f` is null in the exact A/B mode.
-/// Returns the flagged live lanes.
-template <int W, bool Exact, bool Splat>
-[[gnu::always_inline]] inline LaneInts<W> stage1_step(const Stage1Inputs& in,
-                                                      LaneFormat<W>* f,
-                                                      std::size_t k, std::size_t g,
-                                                      BlockColumns& out) {
-  using V = Lanes<W>;
-  using M = LaneInts<W>;
-  const auto& j = in.j;
-  M diff[3];
-  V jvel[3];
-  V ivel[3];
-  for (int d = 0; d < 3; ++d) {
-    const M pos = Splat ? M::splat(j.pos[d][k]) : M::load(&j.pos[d][k]);
-    diff[d] = wrap_sub(pos, M::splat(in.ip.pos[d]));
-    jvel[d] = Splat ? V::splat(j.vel[d][k]) : V::load(&j.vel[d][k]);
-    ivel[d] = V::splat(in.ip.vel[d]);
-  }
-  const V mass = Splat ? V::splat(j.mass[k]) : V::load(&j.mass[k]);
-  // Flags and addends count only on the lanes stage 2 consumes: not the
-  // self slot (its r^2 = eps^2 may well saturate), not a splat's copies.
-  M live{};
-  for (int l = 0; l < (Splat ? 1 : W); ++l) {
-    live.v[l] = j.index[k + static_cast<std::size_t>(l)] != in.ip.index ? -1 : 0;
-  }
-  Addends<V> a;
-  if constexpr (Exact) {
-    a = exact_chain(in.codec, diff, jvel, ivel, mass, V::splat(in.e2));
-  } else {
-    a = op_chain(*f, in.codec, diff, jvel, ivel, mass, V::splat(in.e2));
-  }
-  a.r2.store(&out.r2[g]);
-  for (int d = 0; d < 3; ++d) {
-    select(live, a.acc[d]).store(&out.word[d][g]);
-    select(live, a.jerk[d]).store(&out.word[3 + d][g]);
-  }
-  select(live, a.pot).store(&out.word[6][g]);
-  if constexpr (Exact) {
-    return M{};
-  } else {
-    return f->take_flagged() & live;
+/// Slot `s` through the scalar interact(), j by j.
+void scalar_slot(const PassInputs& in, std::size_t s) {
+  for (std::size_t k = 0; k < in.j.count; ++k) {
+    in.pipeline.interact(in.j.at(k), in.iblock[s], in.eps2, in.out[s],
+                         in.neighbors.empty() ? nullptr : &in.neighbors[s]);
   }
 }
 
-/// Stage 1 for the m slots of the block at b: full groups of W slots on W
-/// lanes, the 1-3 slots left over in two-lane steps (an odd last slot on
-/// its own). Returns true when a live lane was flagged. `wide`/`narrow`
-/// are the caller's own copies of the lane ops (they keep the flag
-/// register), null in the exact mode.
-template <int W, bool Exact>
-[[gnu::always_inline]] inline bool stage1_block(const Stage1Inputs& in,
-                                                LaneFormat<W>* wide,
-                                                LaneFormat<2>* narrow, std::size_t b,
-                                                std::size_t m, BlockColumns& out) {
-  LaneInts<W> flagged{};
-  std::size_t g = 0;
-  for (; g + W <= m; g += W) {
-    flagged |= stage1_step<W, Exact, false>(in, wide, b + g, g, out);
-  }
-  LaneInts<2> rest{};
-  if constexpr (W > 2) {
-    if (g + 2 <= m) {
-      rest |= stage1_step<2, Exact, false>(in, narrow, b + g, g, out);
-      g += 2;
+/// One lane group's i-slots: lane l is slot[l]; lanes [m, W) are dead
+/// copies of slot[m - 1] that never flag, add, record or store.
+template <int W>
+struct GroupSlots {
+  std::size_t slot[W];
+  int m;
+  double h2[W];  ///< the neighbor radii in the comparator's format
+};
+
+/// A lane group's accumulator words: word w of lane l is word w of slot[l].
+template <int W>
+struct GroupWords {
+  LaneAccumulator<W> word[HwPartialWords::kWords];
+
+  [[gnu::always_inline]] void load(const PassInputs& in, const GroupSlots<W>& s) {
+    for (int w = 0; w < HwPartialWords::kWords; ++w) {
+      const BlockFloatAccumulator* words[W];
+      for (int l = 0; l < W; ++l) words[l] = &in.out[s.slot[l]].word(w);
+      word[w].load(words);
     }
   }
-  if (g < m) rest |= stage1_step<2, Exact, true>(in, narrow, b + g, g, out);
-  return flagged.any() || rest.any();
+  [[gnu::always_inline]] void store(const PassInputs& in,
+                                    const GroupSlots<W>& s) const {
+    for (int w = 0; w < HwPartialWords::kWords; ++w) {
+      BlockFloatAccumulator* words[W];
+      for (int l = 0; l < W; ++l) words[l] = &in.out[s.slot[l]].word(w);
+      word[w].store(words, s.m);
+    }
+  }
+  /// False when a live lane's grid scale is outside the exact power-of-two
+  /// window (BlockFloatAccumulator's ldexp fallback, scale() == 0).
+  [[gnu::always_inline]] bool scales_exact(const LaneInts<W>& live) const {
+    LaneInts<W> zero{};
+    for (const auto& w : word) zero |= LaneInts<W>{w.scale.v == Lanes<W>{}.v};
+    return !(zero & live).any();
+  }
+};
+
+/// The lanes in `flagged` left the format's normal range (flush,
+/// saturation, inf/NaN, a negative r^2) at predicted j `k`: that j goes
+/// through the scalar interact(), which handles those cases — and raises
+/// their errors — exactly. The words are stored first and reloaded after,
+/// so each slot still gets its j in order; `use` drops those lanes.
+template <int W>
+[[gnu::always_inline]] inline void redo(const PassInputs& in, const GroupSlots<W>& s,
+                                        GroupWords<W>& acc, std::size_t k,
+                                        const LaneInts<W>& flagged, LaneInts<W>& use) {
+  acc.store(in, s);
+  for (int l = 0; l < s.m; ++l) {
+    if (flagged[l] == 0) continue;
+    HwNeighborRecorder* nb = in.neighbors.empty() ? nullptr : &in.neighbors[s.slot[l]];
+    in.pipeline.interact(in.j.at(k), in.iblock[s.slot[l]], in.eps2, in.out[s.slot[l]],
+                         nb);
+  }
+  acc.load(in, s);
+  use = use & LaneInts<W>{~flagged.v};
 }
 
-bool stage1_baseline(const Stage1Inputs& in, const LaneFormat<2>* lanes, bool exact,
-                     std::size_t b, std::size_t m, BlockColumns& out) {
-  if (exact) return stage1_block<2, true>(in, nullptr, nullptr, b, m, out);
-  LaneFormat<2> f = *lanes;
-  return stage1_block<2, false>(in, &f, &f, b, m, out);
+/// Chain T of a Twin on predicted j `k`, on the lanes in `use`: the
+/// neighbor comparators, then the seven lane adds.
+template <int T, int W>
+[[gnu::always_inline]] inline void finish(const PassInputs& in, const GroupSlots<W>& s,
+                                          GroupWords<W>& acc, std::size_t k,
+                                          const LaneInts<W>& use,
+                                          const Addends<Twin<Lanes<W>>>& a) {
+  constexpr auto half = T == 0 ? &Twin<Lanes<W>>::a : &Twin<Lanes<W>>::b;
+  if (!in.neighbors.empty()) {
+    for (int l = 0; l < s.m; ++l) {
+      if (use[l] == 0) continue;
+      in.neighbors[s.slot[l]].record(in.j.index[k], (a.r2.*half)[l], s.h2[l]);
+    }
+  }
+  for (int d = 0; d < 3; ++d) {
+    acc.word[d].add(select(use, a.acc[d].*half));
+    acc.word[3 + d].add(select(use, a.jerk[d].*half));
+  }
+  acc.word[6].add(select(use, a.pot.*half));
+}
+
+/// The G lane groups of W i-slots from `g` on (`m` live slots in all, the
+/// last group partial), every predicted j broadcast to their lanes in
+/// ascending order: j outer, lanes inner, so each slot gets its j
+/// contributions in the scalar pass's order. Each step runs two op chains
+/// as one Twin, interleaved op by op so each hides the other's latency:
+/// the two groups on one j (G = 2), or the group on two consecutive j,
+/// applied one after the other (G = 1; an odd last j runs twice and its
+/// copy is dropped). Returns false, having done nothing, when a word's grid
+/// scale is outside the exact power-of-two window.
+template <int W, int G, bool Exact>
+[[gnu::always_inline]] inline bool lane_groups(const PassInputs& in, std::size_t g,
+                                               int m) {
+  using V = Lanes<W>;
+  using M = LaneInts<W>;
+  GroupSlots<W> slots[G];
+  std::int64_t pos[G][3][W];
+  double vel[G][3][W];
+  std::int64_t idx[G][W];
+  std::int64_t alive[G][W];
+  const bool quantize_h2 = in.pf != nullptr && !in.neighbors.empty();
+  for (int h = 0, first = 0; h < G; ++h, first += W) {
+    GroupSlots<W>& s = slots[h];
+    s.m = std::min(m - first, W);
+    for (int l = 0; l < W; ++l) {
+      s.slot[l] = g + static_cast<std::size_t>(first + std::min(l, s.m - 1));
+      const IParticlePacket& ip = in.iblock[s.slot[l]];
+      for (int d = 0; d < 3; ++d) {
+        pos[h][d][l] = ip.pos[d];
+        vel[h][d][l] = ip.vel[d];
+      }
+      idx[h][l] = ip.index;
+      alive[h][l] = l < s.m ? -1 : 0;
+      s.h2[l] = quantize_h2 ? in.pf->quantize(ip.h2) : ip.h2;
+    }
+  }
+  M iidx[G];
+  M live[G];
+  GroupWords<W> acc[G];
+  for (int h = 0; h < G; ++h) {
+    iidx[h] = lanes_from<M>(idx[h]);
+    live[h] = lanes_from<M>(alive[h]);
+    acc[h].load(in, slots[h]);
+    if (!acc[h].scales_exact(live[h])) return false;
+  }
+  constexpr int gr[2] = {0, G - 1};  // chain t runs group gr[t]
+  Twin<M> ipos[3];
+  Twin<V> ivel[3];
+  for (int d = 0; d < 3; ++d) {
+    ipos[d] = {lanes_from<M>(pos[gr[0]][d]), lanes_from<M>(pos[gr[1]][d])};
+    ivel[d] = {lanes_from<V>(vel[gr[0]][d]), lanes_from<V>(vel[gr[1]][d])};
+  }
+  const V e2 = V::splat(in.e2);
+  const Twin<V> qeps2{e2, e2};
+  TwinFormat<W> ops;  // none in the exact mode
+  if (in.pf != nullptr) ops = {LaneFormat<W>(*in.pf), LaneFormat<W>(*in.pf)};
+  const auto& j = in.j;
+  for (std::size_t k = 0; k < j.count; k += 3 - G) {
+    const std::size_t kt[2] = {k, G == 2 ? k : std::min(k + 1, j.count - 1)};
+    Twin<M> diff[3];
+    Twin<V> jvel[3];
+    for (int d = 0; d < 3; ++d) {
+      diff[d] = {wrap_sub(M::splat(j.pos[d][kt[0]]), ipos[d].a),
+                 wrap_sub(M::splat(j.pos[d][kt[1]]), ipos[d].b)};
+      const V v0 = V::splat(j.vel[d][kt[0]]);
+      const V v1 = V::splat(j.vel[d][kt[1]]);
+      jvel[d] = {v0, v1};
+    }
+    const V m0 = V::splat(j.mass[kt[0]]);
+    const V m1 = V::splat(j.mass[kt[1]]);
+    const Twin<V> mass{m0, m1};
+    // Every live lane but the one on its own j-slot (the hardware
+    // self-interaction cut).
+    M use[2] = {live[gr[0]] & M{iidx[gr[0]].v != M::splat(j.index[kt[0]]).v},
+                live[gr[1]] & M{iidx[gr[1]].v != M::splat(j.index[kt[1]]).v}};
+    Addends<Twin<V>> a;
+    M flagged[2] = {};
+    if constexpr (Exact) {
+      a = exact_chain(in.codec, diff, jvel, ivel, mass, qeps2);
+    } else {
+      a = op_chain(ops, in.codec, diff, jvel, ivel, mass, qeps2);
+      flagged[0] = ops.a.take_flagged() & use[0];
+      flagged[1] = ops.b.take_flagged() & use[1];
+    }
+    const bool flags = (flagged[0] | flagged[1]).any();
+    if (flags) [[unlikely]] {
+      redo(in, slots[gr[0]], acc[gr[0]], kt[0], flagged[0], use[0]);
+    }
+    finish<0>(in, slots[gr[0]], acc[gr[0]], kt[0], use[0], a);
+    if (G == 1 && kt[1] == kt[0]) continue;
+    if (flags) [[unlikely]] {
+      redo(in, slots[gr[1]], acc[gr[1]], kt[1], flagged[1], use[1]);
+    }
+    finish<1>(in, slots[gr[1]], acc[gr[1]], kt[1], use[1], a);
+  }
+  for (int h = 0; h < G; ++h) acc[h].store(in, slots[h]);
+  return true;
+}
+
+/// The whole pass: two lane groups at a time while the second would hold
+/// more than two slots, else one; a lone group of one or two slots runs
+/// at two lanes, where it costs less. A group with a word outside the
+/// exact grid-scale window runs its slots through the scalar interact().
+template <int W, bool Exact>
+[[gnu::always_inline]] inline void lane_pass(const PassInputs& in) {
+  const std::size_t n = in.iblock.size();
+  for (std::size_t g = 0; g < n;) {
+    int m = static_cast<int>(std::min<std::size_t>(2 * W, n - g));
+    if (m <= W + 2) m = std::min(m, W);
+    const bool lanes = m > W    ? lane_groups<W, 2, Exact>(in, g, m)
+                       : m > 2 ? lane_groups<W, 1, Exact>(in, g, m)
+                               : lane_groups<2, 1, Exact>(in, g, m);
+    for (int s = 0; !lanes && s < m; ++s) {
+      scalar_slot(in, g + static_cast<std::size_t>(s));
+    }
+    g += static_cast<std::size_t>(m);
+  }
+}
+
+void pass_baseline(const PassInputs& in) {
+  if (in.pf == nullptr) return lane_pass<2, true>(in);
+  lane_pass<2, false>(in);
 }
 
 #if defined(__x86_64__)
@@ -375,20 +572,15 @@ bool stage1_baseline(const Stage1Inputs& in, const LaneFormat<2>* lanes, bool ex
 /// host_lane_width() is 4. Everything it calls on lanes is always_inline,
 /// so no wide vector crosses a call, and inline functions it does call
 /// keep their baseline copies.
-[[gnu::target("arch=x86-64-v3")]] bool stage1_wide(const Stage1Inputs& in,
-                                                   const LaneFormat<2>* lanes,
-                                                   bool exact, std::size_t b,
-                                                   std::size_t m, BlockColumns& out) {
-  if (exact) return stage1_block<4, true>(in, nullptr, nullptr, b, m, out);
-  LaneFormat<4> wide(*lanes);
-  LaneFormat<2> narrow = *lanes;
-  return stage1_block<4, false>(in, &wide, &narrow, b, m, out);
+[[gnu::target("arch=x86-64-v3")]] void pass_wide(const PassInputs& in) {
+  if (in.pf == nullptr) return lane_pass<4, true>(in);
+  lane_pass<4, false>(in);
 }
 #endif
 
 std::atomic<int> g_forced_lane_width{0};
 
-/// The stage-1 lane width of a pipeline built now.
+/// The kernel lane width of a pipeline built now.
 int kernel_lane_width() {
   const int forced = g_forced_lane_width.load(std::memory_order_relaxed);
   return forced != 0 ? forced : host_lane_width();
@@ -406,9 +598,8 @@ ForcePipeline::ForcePipeline(const NumberFormats& fmt)
     : fmt_(fmt),
       codec_(fmt.coord_range),
       exact_(fmt.pipeline.frac_bits() >= 52),
-      wide_(kernel_lane_width() == 4) {
-  if (!exact_ && LaneFormat<2>::supports(fmt.pipeline)) lanes_.emplace(fmt.pipeline);
-}
+      wide_(kernel_lane_width() == 4),
+      lanes_(!exact_ && LaneFormat<2>::supports(fmt.pipeline)) {}
 
 void ForcePipeline::interact(const PredictorUnit::Predicted& j,
                              const IParticlePacket& ip, double eps2,
@@ -434,58 +625,27 @@ void ForcePipeline::interact(const PredictorUnit::Predicted& j,
              j.index, f.quantize(ip.h2), out, neighbors);
 }
 
-void ForcePipeline::interact_batch(const PredictorUnit::PredictedBatch& j,
-                                   const IParticlePacket& ip, double eps2,
-                                   HwAccumulators& out,
-                                   HwNeighborRecorder* neighbors) const {
+void ForcePipeline::interact_block(const PredictorUnit::PredictedBatch& j,
+                                   std::span<const IParticlePacket> iblock, double eps2,
+                                   std::span<HwAccumulators> out,
+                                   std::span<HwNeighborRecorder> neighbors) const {
   G6_REQUIRE(j.index.size() == j.count && j.mass.size() == j.count);
-  const std::size_t n = j.count;
+  G6_REQUIRE(out.size() == iblock.size());
+  G6_REQUIRE(neighbors.empty() || neighbors.size() == iblock.size());
+  if (j.count == 0) return;
+  const FloatFormat& f = fmt_.pipeline;
+  // Loop-invariant pure hoist: interact() quantizes this identical word
+  // once per interaction; once per pass is the same bits.
+  const PassInputs in{*this,  codec_,    exact_ ? nullptr : &f, j, iblock, out,
+                      neighbors, eps2, exact_ ? eps2 : f.quantize(eps2)};
   if (!exact_ && !lanes_) {
-    for (std::size_t k = 0; k < n; ++k) interact(j.at(k), ip, eps2, out, neighbors);
+    for (std::size_t s = 0; s < iblock.size(); ++s) scalar_slot(in, s);
     return;
   }
-
-  const FloatFormat& f = fmt_.pipeline;
-  // Loop-invariant pure hoists: interact() quantizes these identical
-  // words once per interaction; once per call is the same bits.
-  const Stage1Inputs in{j, codec_, ip, exact_ ? eps2 : f.quantize(eps2)};
-  const double h2 = exact_ ? ip.h2 : f.quantize(ip.h2);
-  const LaneFormat<2>* narrow = lanes_ ? &*lanes_ : nullptr;
-  const std::uint32_t* idx = j.index.data();
-
-  BlockColumns cols;  // stage 1 writes each entry stage 2 reads
-  for (std::size_t b = 0; b < n; b += kBlock) {
-    const std::size_t m = std::min(kBlock, n - b);
-
 #if defined(__x86_64__)
-    const bool flagged = wide_ ? stage1_wide(in, narrow, exact_, b, m, cols)
-                               : stage1_baseline(in, narrow, exact_, b, m, cols);
-#else
-    const bool flagged = stage1_baseline(in, narrow, exact_, b, m, cols);
+  if (wide_) return pass_wide(in);
 #endif
-
-    // A flagged lane left the format's normal range (flush, saturation,
-    // inf/NaN, a negative r^2): recompute the whole block with the scalar
-    // ops, which handle those cases — and raise their errors — exactly.
-    if (flagged) {
-      for (std::size_t k = b; k < b + m; ++k) interact(j.at(k), ip, eps2, out, neighbors);
-      continue;
-    }
-
-    // Stage 2 (ordered): the neighbor records in ascending slot order, then
-    // each accumulator word's column in ascending slot order. The words
-    // are independent, so each one's adds and overflow-flag trajectory are
-    // those of interact() called slot by slot, as is the FIFO order.
-    if (neighbors != nullptr) {
-      for (std::size_t g = 0; g < m; ++g) {
-        if (idx[b + g] == ip.index) continue;  // hardware self-interaction cut
-        neighbors->record(idx[b + g], cols.r2[g], h2);
-      }
-    }
-    for (int w = 0; w < HwPartialWords::kWords; ++w) {
-      out.word(w).add_run({cols.word[w], m});
-    }
-  }
+  pass_baseline(in);
 }
 
 }  // namespace g6

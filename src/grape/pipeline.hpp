@@ -11,16 +11,18 @@
 //   acc,jerk,pot contributions           pipeline float
 //   accumulation                          block floating point, exact
 //
-// The op chain is written once, over the value type. Chip::run_pass drives
-// the two-stage kernel interact_batch(): stage 1 evaluates the chain for a
-// block of j-particles W at a time with LaneFormat's lane ops, which defer
-// the format's range check into a per-block flag, and writes each slot's
-// r2 and seven addends into columns; stage 2 makes the neighbor records in
-// slot order, then adds each accumulator word's column in slot order. W is
-// 4 in an x86-64-v3 function when the CPU runs one (one cached check),
-// else 2 at the baseline ISA. A block with a flagged lane (a result that
-// flushes, saturates, is inf or NaN, or a negative r2) is recomputed slot
-// by slot with the scalar instantiation, interact(), which is also the
+// The op chain is written once, over the value type. Chip::run_pass hands
+// the whole i-block to interact_block(), which does what the chip's
+// broadcast does: W i-slots sit in the lanes and each predicted j, in
+// ascending order, is splatted to them; the chain runs with LaneFormat's
+// lane ops (which defer the format's range check into a per-lane flag)
+// and the seven BFP adds run in the lanes too (LaneAccumulator). Two
+// chains run op by op per step — two lane groups on one j, or a lone
+// group on two j — so each hides the other's latency. W is 4 in an
+// x86-64-v3 function when the CPU runs one (one cached check), else 2 at
+// the baseline ISA. A lane flagged at some j (a result that flushes,
+// saturates, is inf or NaN, or a negative r2) takes that j alone through
+// the scalar instantiation, interact(), in place; interact() is also the
 // reference tests compare the kernel against.
 //
 // The block floating-point accumulators make the total independent of the
@@ -28,7 +30,6 @@
 // in tests/grape/bfp_invariance_test.cpp.
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -119,7 +120,7 @@ class PredictorUnit {
   Predicted predict(const StoredJParticle& j, double t) const;
 
   /// All stored j-particles predicted, column-wise — the input of
-  /// interact_batch(). Reused across passes, a batch performs no
+  /// interact_block(). Reused across passes, a batch performs no
   /// allocations after warm-up (resize keeps capacity).
   struct PredictedBatch {
     std::size_t count = 0;
@@ -141,13 +142,11 @@ class PredictorUnit {
  private:
   NumberFormats fmt_;
   FixedPointCodec codec_;
-  /// Predictor and velocity lane ops, when LaneFormat supports both.
-  std::optional<LaneFormat<2>> pf_lanes_;
-  std::optional<LaneFormat<2>> vf_lanes_;
+  bool lanes_;  ///< LaneFormat supports the predictor and velocity formats
 };
 
 namespace test_hooks {
-/// Test-only: make ForcePipelines built from now on run stage 1 at
+/// Test-only: make ForcePipelines built from now on run their kernel at
 /// `width` lanes — 2, or 4 where host_lane_width() is 4 — so both kernels
 /// can be checked on one host; 0 restores the default. Returns false and
 /// changes nothing for a width this host cannot run. Not an option:
@@ -165,23 +164,24 @@ class ForcePipeline {
   /// `ip` into `out`. Skips the self-interaction by index compare. When
   /// `neighbors` is non-null the neighbor comparator runs alongside the
   /// force datapath (no extra cycles, as in hardware). The scalar form:
-  /// interact_batch()'s recompute path, the reference tests compare the
-  /// kernel against, and what BM_PipelineInteraction times.
+  /// interact_block()'s path for a flagged lane, the reference tests
+  /// compare the kernel against, and what BM_PipelineInteraction times.
   void interact(const PredictorUnit::Predicted& j, const IParticlePacket& ip,
                 double eps2, HwAccumulators& out,
                 HwNeighborRecorder* neighbors = nullptr) const;
 
-  /// The chip pass's kernel: stream the whole predicted j-range past one
-  /// i-particle, block by block — stage 1 on lane_width() j at a time,
-  /// stage 2 in ascending slot order (file comment). The BFP accumulator
-  /// words, overflow flags and neighbor lists are bit-identical to calling
-  /// interact() j-by-j (tests/grape/pipeline_crosscheck_test.cpp).
-  void interact_batch(const PredictorUnit::PredictedBatch& j,
-                      const IParticlePacket& ip, double eps2,
-                      HwAccumulators& out,
-                      HwNeighborRecorder* neighbors = nullptr) const;
+  /// The chip pass's kernel: the whole predicted j-range, in ascending
+  /// order, on every i-slot of `iblock`, lane_width() slots at a time (file
+  /// comment). out[k] and, when `neighbors` is non-empty, neighbors[k]
+  /// belong to iblock[k]. The BFP accumulator words, overflow flags and
+  /// neighbor lists are bit-identical to calling interact() j-by-j
+  /// (tests/grape/pipeline_crosscheck_test.cpp).
+  void interact_block(const PredictorUnit::PredictedBatch& j,
+                      std::span<const IParticlePacket> iblock, double eps2,
+                      std::span<HwAccumulators> out,
+                      std::span<HwNeighborRecorder> neighbors = {}) const;
 
-  /// Stage 1's lane width, fixed when the pipeline is built: 4 where
+  /// The kernel's lane width, fixed when the pipeline is built: 4 where
   /// host_lane_width() is 4, else 2.
   int lane_width() const { return wide_ ? 4 : 2; }
 
@@ -189,10 +189,8 @@ class ForcePipeline {
   NumberFormats fmt_;
   FixedPointCodec codec_;
   bool exact_;  ///< wide format: skip per-op rounding (A/B mode)
-  bool wide_;   ///< stage 1 runs four lanes
-  /// Pipeline-format lane ops, when LaneFormat supports the format (the
-  /// four-lane kernel converts them).
-  std::optional<LaneFormat<2>> lanes_;
+  bool wide_;   ///< the kernel runs four lanes
+  bool lanes_;  ///< LaneFormat supports the pipeline format
 };
 
 }  // namespace g6

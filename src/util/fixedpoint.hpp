@@ -26,7 +26,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <span>
 
 #include "util/check.hpp"
 #include "util/softfloat.hpp"
@@ -44,6 +43,26 @@ inline std::int64_t round_to_int64(double x) {
     x = (x + magic) - magic;
   }
   return static_cast<std::int64_t>(x);
+}
+
+/// round_to_int64 on W lanes, |x| < 2^62, with no packed double-to-int64
+/// convert (x86 has none below AVX-512): adding 1.5 * 2^84 rounds x to a
+/// multiple hi of 2^32, ties to even; the rest lo = x - hi is exact, and
+/// adding 1.5 * 2^52 rounds it to an integer. Both sums sit in a binade
+/// where the bit pattern counts ulps, and shifting x by the even integer
+/// hi commutes with ties-to-even, so hi + round(lo) is round_to_int64(x).
+template <int W>
+[[gnu::always_inline]] inline LaneInts<W> round_to_int64(const Lanes<W>& x) {
+  using Bits = typename LaneVectors<W>::Bits;
+  constexpr double kHi = 0x1.8p84;
+  constexpr double kLo = 0x1.8p52;
+  const auto hi = x.v + kHi;
+  const auto lo = (x.v - (hi - kHi)) + kLo;
+  constexpr std::uint64_t kBias =
+      (std::bit_cast<std::uint64_t>(kHi) << 32) + std::bit_cast<std::uint64_t>(kLo);
+  const Bits q =
+      (__builtin_bit_cast(Bits, hi) << 32) + __builtin_bit_cast(Bits, lo) - kBias;
+  return {__builtin_bit_cast(typename LaneInts<W>::Vec, q)};
 }
 
 /// Encode/decode doubles to the 64-bit fixed-point coordinate word.
@@ -72,9 +91,19 @@ class FixedPointCodec {
   }
 
   double decode(std::int64_t q) const { return static_cast<double>(q) * inv_scale_; }
+  /// decode() on W lanes, with no packed int64-to-double convert: a word's
+  /// high half (sign-flipped) and low half go exactly into the mantissas
+  /// of 2^84 and 2^52, and one subtract and one add round hi * 2^32 + lo
+  /// once, to nearest even, as the scalar cast does.
   template <int W>
   [[gnu::always_inline]] Lanes<W> decode(const LaneInts<W>& q) const {
-    return {__builtin_convertvector(q.v, typename Lanes<W>::Vec) * inv_scale_};
+    using Bits = typename LaneVectors<W>::Bits;
+    using Vec = typename Lanes<W>::Vec;
+    const Bits b = __builtin_bit_cast(Bits, q.v);
+    const Vec hi =
+        __builtin_bit_cast(Vec, ((b >> 32) ^ 0x80000000U) | 0x4530000000000000U);
+    const Vec lo = __builtin_bit_cast(Vec, (b & 0xffffffffU) | 0x4330000000000000U);
+    return {((hi - (0x1p84 + 0x1p63 + 0x1p52)) + lo) * inv_scale_};
   }
 
   /// Round-trip a double through the hardware grid.
@@ -138,34 +167,6 @@ class BlockFloatAccumulator {
   /// flag if either the addend or the running sum exceeds the headroom.
   void add(double x) { step(mant_, overflow_, x); }
 
-  /// add() each of `xs` in order, with the mantissa and the overflow flag
-  /// held in registers for the run: the same adds and the same flag
-  /// trajectory as calling add() on each.
-  [[gnu::always_inline]] void add_run(std::span<const double> xs) {
-    std::int64_t mant = mant_;
-    bool overflow = overflow_;
-    if (scale_exact_) {
-      // step() with the scale in a register, rounding with llrint — one
-      // instruction where the build lets it skip errno (src/CMakeLists.txt),
-      // and the same integer as round_to_int64 below 2^62 in any rounding
-      // mode. A zero addend is not skipped here: it rounds to 0, which
-      // leaves the sum and the flag alone.
-      const double scale = scale_;
-      for (double x : xs) {
-        const double scaled = x * scale;
-        if (!(std::fabs(scaled) < 0x1p62)) {
-          overflow = true;
-          continue;
-        }
-        if (add_overflows(mant, std::llrint(scaled))) overflow = true;
-      }
-    } else {
-      for (double x : xs) step(mant, overflow, x);
-    }
-    mant_ = mant;
-    overflow_ = overflow;
-  }
-
   /// Merge another accumulator with the same block exponent (the
   /// board-level FPGA reduction tree). Exact integer addition.
   void merge(const BlockFloatAccumulator& other) {
@@ -217,6 +218,59 @@ class BlockFloatAccumulator {
   double scale_ = 0x1p56;  ///< 2^(kFracBits - block_exp_) for the defaults
   bool scale_exact_ = true;
   static_assert(kFracBits == 56, "scale_ default initializer must be 2^kFracBits");
+
+  template <int W>
+  friend struct LaneAccumulator;
+};
+
+/// W BlockFloatAccumulator words side by side, one per lane: the adds of
+/// the i-lane force kernel (src/grape/pipeline.cpp). Each lane's word must
+/// have an exact cached scale (scale() != 0). add() is add() on every lane
+/// — the same grid rounding, int64 sum and overflow flag — with no branch:
+/// a zero addend rounds to 0 and leaves the lane alone.
+template <int W>
+struct LaneAccumulator {
+  LaneInts<W> mant;
+  LaneInts<W> overflow;  ///< all ones on a lane flagged since load()
+  Lanes<W> scale;
+
+  /// Lane l from *words[l], its flag clear: store() ORs it into the word's.
+  [[gnu::always_inline]] void load(const BlockFloatAccumulator* const (&words)[W]) {
+    std::int64_t m[W];
+    double s[W];
+    for (int l = 0; l < W; ++l) {
+      m[l] = words[l]->mant_;
+      s[l] = words[l]->scale_;
+    }
+    mant = lanes_from<LaneInts<W>>(m);
+    overflow = LaneInts<W>{};
+    scale = lanes_from<Lanes<W>>(s);
+  }
+  /// Lanes [0, n) back to *words[l].
+  [[gnu::always_inline]] void store(BlockFloatAccumulator* const (&words)[W],
+                                    int n) const {
+    for (int l = 0; l < n; ++l) {
+      words[l]->mant_ = mant.v[l];
+      words[l]->overflow_ = words[l]->overflow_ || overflow.v[l] != 0;
+    }
+  }
+
+  /// An addend at or past 2^62 on the grid (or inf, NaN) flags its lane
+  /// and adds nothing; an int64 sum that overflows flags its lane and
+  /// keeps the mantissa, as add_overflows() does.
+  [[gnu::always_inline]] void add(const Lanes<W>& x) {
+    using Bits = typename LaneVectors<W>::Bits;
+    using Ints = typename LaneInts<W>::Vec;
+    const Lanes<W> scaled{x.v * scale.v};
+    const Bits mag = __builtin_bit_cast(Bits, scaled.v) & 0x7fffffffffffffffU;
+    const Ints ok = __builtin_bit_cast(typename Lanes<W>::Vec, mag) < 0x1p62;
+    const Bits q = __builtin_bit_cast(Bits, round_to_int64(scaled).v & ok);
+    const Bits m = __builtin_bit_cast(Bits, mant.v);
+    const Bits sum = m + q;
+    const Ints wrapped = __builtin_bit_cast(Ints, (m ^ sum) & (q ^ sum)) < 0;
+    mant.v = __builtin_bit_cast(Ints, sum - (q & __builtin_bit_cast(Bits, wrapped)));
+    overflow.v |= ~ok | wrapped;
+  }
 };
 
 /// Choose a block exponent such that `magnitude_estimate` sits comfortably

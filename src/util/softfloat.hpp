@@ -14,6 +14,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -150,19 +151,12 @@ struct Lanes {
   Vec v;
 
   /// x on every lane.
-  [[gnu::always_inline]] static Lanes splat(double x) {
-    Lanes r{};
-    for (int l = 0; l < W; ++l) r.v[l] = x;
-    return r;
-  }
+  [[gnu::always_inline]] static Lanes splat(double x) { return {x - Vec{}}; }
   /// p[0..W) — unaligned.
   [[gnu::always_inline]] static Lanes load(const double* p) {
     Lanes r{};
     __builtin_memcpy(&r.v, p, sizeof r.v);
     return r;
-  }
-  [[gnu::always_inline]] void store(double* p) const {
-    __builtin_memcpy(p, &v, sizeof v);
   }
   [[gnu::always_inline]] double operator[](int l) const { return v[l]; }
 
@@ -203,16 +197,7 @@ struct LaneInts {
                        typename LaneVectors<W>::Doubles{});
   Vec v;
 
-  [[gnu::always_inline]] static LaneInts splat(std::int64_t x) {
-    LaneInts r{};
-    for (int l = 0; l < W; ++l) r.v[l] = x;
-    return r;
-  }
-  [[gnu::always_inline]] static LaneInts load(const std::int64_t* p) {
-    LaneInts r{};
-    __builtin_memcpy(&r.v, p, sizeof r.v);
-    return r;
-  }
+  [[gnu::always_inline]] static LaneInts splat(std::int64_t x) { return {Vec{} + x}; }
   [[gnu::always_inline]] std::int64_t operator[](int l) const { return v[l]; }
   /// True when some lane is nonzero.
   [[gnu::always_inline]] bool any() const {
@@ -234,6 +219,20 @@ struct LaneInts {
     return *this;
   }
 };
+
+/// The lanes {a[0], ..., a[W - 1]} (W = 2 or 4) of a small local array,
+/// built in registers: a load from an array just written lane by lane
+/// would stall on store forwarding.
+template <class L, class T, std::size_t W>
+[[gnu::always_inline]] inline L lanes_from(const T (&a)[W]) {
+  static_assert(W == 2 || W == 4);
+  using Vec = typename L::Vec;
+  if constexpr (W == 2) {
+    return L{Vec{a[0], a[1]}};
+  } else {
+    return L{Vec{a[0], a[1], a[2], a[3]}};
+  }
+}
 
 /// std::sqrt on each lane: one packed square root where the build lets
 /// sqrt skip errno (src/CMakeLists.txt).
@@ -264,9 +263,7 @@ template <int W>
 /// flagged work with the scalar ops. On every unflagged lane the result is
 /// bit-identical to the scalar op (tests/util/softfloat_test.cpp).
 ///
-/// Build one per format and copy or convert it where the ops run: the
-/// constructor does the format's ldexp work, a copy or a change of width
-/// moves a few words.
+/// Build one where the ops run: the constructor is a few integer ops.
 template <int W>
 class LaneFormat {
  public:
@@ -282,22 +279,22 @@ class LaneFormat {
            f.exp_max() <= 1024;
   }
 
-  explicit LaneFormat(const FloatFormat& f)
-      : min_normal_(f.min_normal()), max_value_(f.max_value()) {
+  /// No format: for a kernel instantiation that runs no format ops.
+  LaneFormat() = default;
+
+  /// min_normal() and max_value() are built from their bit fields, not
+  /// with ldexp, so building a LaneFormat where the ops run costs a few
+  /// integer ops.
+  explicit LaneFormat(const FloatFormat& f) {
     G6_REQUIRE_MSG(supports(f), "lane ops need a normal-range format below double");
     shift_ = 52 - f.frac_bits();
     half_minus_one_ = (std::uint64_t{1} << (shift_ - 1)) - 1;
     keep_ = ~((std::uint64_t{1} << shift_) - 1);
+    const auto biased = [](int e) { return static_cast<std::uint64_t>(e + 1022) << 52; };
+    min_normal_ = V::splat(std::bit_cast<double>(biased(f.exp_min())));
+    const std::uint64_t top_frac = keep_ & ((std::uint64_t{1} << 52) - 1);
+    max_value_ = V::splat(std::bit_cast<double>(biased(f.exp_max()) | top_frac));
   }
-
-  /// The same format's ops at width W, flags cleared.
-  template <int U>
-  explicit LaneFormat(const LaneFormat<U>& o)
-      : min_normal_(o.min_normal_),
-        max_value_(o.max_value_),
-        shift_(o.shift_),
-        half_minus_one_(o.half_minus_one_),
-        keep_(o.keep_) {}
 
   [[gnu::always_inline]] V quantize(const V& x) { return check(x.v, round(x.v)); }
   [[gnu::always_inline]] V add(const V& a, const V& b) { return quantize(a + b); }
@@ -315,7 +312,7 @@ class LaneFormat {
     ok_ &= a.v >= Vec{};
     const Vec q = (1.0 / sqrt(a)).v;
     const MVec zero = a.v == Vec{};
-    const MVec r = (zero & __builtin_bit_cast(MVec, V::splat(max_value_).v)) |
+    const MVec r = (zero & __builtin_bit_cast(MVec, max_value_.v)) |
                    (~zero & __builtin_bit_cast(MVec, round(q).v));
     return check(q, {__builtin_bit_cast(Vec, r)});
   }
@@ -346,16 +343,13 @@ class LaneFormat {
   [[gnu::always_inline]] V check(const Vec& x, const V& r) {
     const Vec mag =
         __builtin_bit_cast(Vec, __builtin_bit_cast(Bits, r.v) & 0x7fffffffffffffffULL);
-    ok_ &= ((V::splat(min_normal_).v <= mag) & (mag <= V::splat(max_value_).v)) |
+    ok_ &= ((min_normal_.v <= mag) & (mag <= max_value_.v)) |
            (x == Vec{});
     return r;
   }
 
-  template <int U>
-  friend class LaneFormat;
-
-  double min_normal_;
-  double max_value_;
+  V min_normal_{};
+  V max_value_{};
   MVec ok_ = ~MVec{};
   int shift_ = 0;
   std::uint64_t half_minus_one_ = 0;

@@ -1,5 +1,5 @@
 // Pipeline crosscheck: the batched kernel every chip pass runs
-// (Chip::run_pass -> predict_batch + interact_batch) must be BIT-IDENTICAL
+// (Chip::run_pass -> predict_batch + interact_block) must be BIT-IDENTICAL
 // to a reference pass built from the scalar PredictorUnit::predict and
 // ForcePipeline::interact on every observable hardware word — accumulator
 // mantissas, block exponents, overflow flags, neighbor FIFO contents and
@@ -8,11 +8,12 @@
 // shapes, and at any thread count. This is the contract that lets the
 // kernel change without invalidating a single recorded snapshot.
 //
-// The kernel evaluates blocks of j W at a time with lane ops (W = 4 where
-// the CPU runs x86-64-v3 code, else 2; full groups of 4, the rest in
-// two-lane steps) and recomputes a block with the scalar ops when a lane
-// leaves the format's normal range; the corpus below drives both paths,
-// their mix within one accumulator, the r^2 = 0 clamp and the
+// The kernel puts W i-slots in lanes (W = 4 where the CPU runs x86-64-v3
+// code, else 2; a partial last group is padded with dead lanes) and
+// broadcasts each predicted j to them, with the block floating-point adds
+// in the lanes too; a lane that leaves the format's normal range takes
+// that j through the scalar ops, in place. The corpus below drives both
+// paths, their mix within one accumulator, the r^2 = 0 clamp and the
 // precondition errors. The tests without a width run the host's default
 // kernel; the KernelWidth suite forces each width through a test hook
 // (and skips four lanes on a CPU without them). A committed
@@ -86,11 +87,15 @@ void reference_pass(const Chip& chip, const MachineConfig& mc,
   }
 }
 
-/// A freshly reset result bank; `fifo` == 0 collects no neighbors.
-PassResult reset_bank(std::size_t n_i, std::size_t fifo) {
+/// A freshly reset result bank, slot k on exps[k] (every slot on
+/// {4, 8, 4} when `exps` is empty); `fifo` == 0 collects no neighbors.
+PassResult reset_bank(std::size_t n_i, std::size_t fifo,
+                      std::span<const BlockExponents> exps = {}) {
   PassResult r;
   r.acc.resize(n_i);
-  for (auto& a : r.acc) a.reset({4, 8, 4});
+  for (std::size_t k = 0; k < n_i; ++k) {
+    r.acc[k].reset(exps.empty() ? BlockExponents{4, 8, 4} : exps[k]);
+  }
   r.nb.resize(fifo == 0 ? 0 : n_i);
   for (auto& nb : r.nb) nb.reset(fifo);
   return r;
@@ -130,14 +135,16 @@ std::vector<IParticlePacket> make_iblock(const NumberFormats& fmt,
 
 /// A chip loaded with the first `n_j` of `js`, driven over `iblock` once
 /// through Chip::run_pass and once through reference_pass, each from its
-/// own reset bank.
+/// own reset bank (reset_bank's `exps`).
 PassPair run_iblock(const MachineConfig& mc, const NumberFormats& fmt,
                     const std::vector<JParticle>& js, std::size_t n_j,
                     const std::vector<IParticlePacket>& iblock, double t,
-                    double eps2, std::size_t fifo) {
+                    double eps2, std::size_t fifo,
+                    std::span<const BlockExponents> exps = {}) {
   Chip chip(mc, fmt);
   load_chip(chip, fmt, js, n_j);
-  PassPair p{reset_bank(iblock.size(), fifo), reset_bank(iblock.size(), fifo)};
+  PassPair p{reset_bank(iblock.size(), fifo, exps),
+             reset_bank(iblock.size(), fifo, exps)};
   chip.run_pass(t, iblock, eps2, p.kernel.acc, p.kernel.nb);
   reference_pass(chip, mc, fmt, t, iblock, eps2, p.reference);
   return p;
@@ -165,7 +172,10 @@ void expect_bit_identical(const PassResult& a, const PassResult& b) {
     }
     EXPECT_EQ(a.acc[k].pot.mantissa(), b.acc[k].pot.mantissa()) << k;
     EXPECT_EQ(a.acc[k].pot.block_exp(), b.acc[k].pot.block_exp()) << k;
-    EXPECT_EQ(a.acc[k].overflow(), b.acc[k].overflow()) << k;
+    for (int w = 0; w < HwPartialWords::kWords; ++w) {
+      EXPECT_EQ(a.acc[k].word(w).overflow(), b.acc[k].word(w).overflow())
+          << "overflow i=" << k << " word=" << w;
+    }
   }
   ASSERT_EQ(a.nb.size(), b.nb.size());
   for (std::size_t k = 0; k < a.nb.size(); ++k) {
@@ -389,7 +399,7 @@ void golden_corpus(std::ostream& kernel, std::ostream& reference) {
 }
 
 /// data/pipeline_golden.txt was written by the scalar reference path
-/// before the two-stage kernel existed. On a mismatch the kernel's dump is
+/// before any lane kernel existed. On a mismatch the kernel's dump is
 /// written next to the test binary for inspection.
 void expect_golden_fixture() {
   std::ifstream in(G6_GOLDEN_FIXTURE);
@@ -461,10 +471,10 @@ TEST(PipelineCrosscheck, BatchedBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// --- each stage-1 width ------------------------------------------------------
+// --- each lane width ---------------------------------------------------------
 
-/// Runs each test at the stage-1 width of its parameter: pipelines built
-/// while the test runs (every Chip it makes) take that width.
+/// Runs each test at the kernel lane width of its parameter: pipelines
+/// built while the test runs (every Chip it makes) take that width.
 class KernelWidth : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
@@ -497,8 +507,8 @@ std::vector<IParticlePacket> iblock_at(const NumberFormats& fmt,
 }
 
 TEST_P(KernelWidth, MatchesScalarForEveryJCount) {
-  // Every remainder of a 64-slot block (0-3 slots after the full groups,
-  // an odd last slot), in two blocks, in the hardware and exact formats.
+  // A full i-block against every j count 1-130, in the hardware and exact
+  // formats: the j loop each lane group runs.
   const auto js = random_js(130, 0x1130);
   const MachineConfig mc;
   for (const auto& fmt : {NumberFormats{}, NumberFormats::exact()}) {
@@ -512,31 +522,55 @@ TEST_P(KernelWidth, MatchesScalarForEveryJCount) {
   }
 }
 
-TEST_P(KernelWidth, SelfSlotAtEveryLanePosition) {
-  // Each j-slot of the memory in turn is some i-particle's own slot: every
-  // lane of every full group, and every slot of the two-lane remainder.
-  const auto js = random_js(130, 0x5e1f);
+TEST_P(KernelWidth, MatchesScalarForEveryIBlockSize) {
+  // Every i-block size 1-48 — every partial last lane group — against j
+  // counts around the lane and loop boundaries, in the hardware and exact
+  // formats.
+  const auto js = random_js(65, 0x1b10c);
   const MachineConfig mc;
-  for (std::size_t n_j : {67u, 69u, 71u, 129u, 130u}) {
-    for (std::size_t first = 0; first < n_j; first += mc.i_parallelism()) {
-      std::vector<std::size_t> slots;
-      for (std::size_t k = first; k < std::min(n_j, first + mc.i_parallelism()); ++k) {
-        slots.push_back(k);
+  for (const auto& fmt : {NumberFormats{}, NumberFormats::exact()}) {
+    for (std::size_t n_i = 1; n_i <= mc.i_parallelism(); ++n_i) {
+      for (std::size_t n_j : {0u, 1u, 2u, 3u, 5u, 32u, 33u, 64u, 65u}) {
+        SCOPED_TRACE(::testing::Message() << "n_i=" << n_i << " n_j=" << n_j
+                                          << " exact="
+                                          << (fmt.pipeline.frac_bits() >= 52));
+        const auto p = run_both(mc, fmt, js, n_j, n_i, 0.125, 1e-4,
+                                n_i % 2 == 0 ? 0 : 256, 0.5);
+        expect_bit_identical(p.kernel, p.reference);
       }
-      SCOPED_TRACE(::testing::Message() << "n_j=" << n_j << " first=" << first);
+    }
+  }
+}
+
+TEST_P(KernelWidth, SelfSlotAtEveryLanePosition) {
+  // Every i-slot's own particle sits in the j-memory, so the self slot
+  // comes up at every lane of every group, in full groups and in partial
+  // last groups of every size, starting at different j-slots.
+  const auto js = random_js(67, 0x5e1f);
+  const MachineConfig mc;
+  for (std::size_t n_i : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 9u, 45u, 46u, 47u, 48u}) {
+    for (std::size_t first : {0u, 1u, 19u}) {
+      std::vector<std::size_t> slots;
+      for (std::size_t k = first; k < first + n_i; ++k) slots.push_back(k);
+      SCOPED_TRACE(::testing::Message() << "n_i=" << n_i << " first=" << first);
       const NumberFormats fmt;
-      const auto p = run_iblock(mc, fmt, js, n_j, iblock_at(fmt, js, slots, 0.5),
+      const auto p = run_iblock(mc, fmt, js, js.size(), iblock_at(fmt, js, slots, 0.5),
                                 0.125, 1e-4, 256);
       expect_bit_identical(p.kernel, p.reference);
+      for (std::size_t k = 0; k < n_i; ++k) {
+        for (std::uint32_t idx : p.kernel.nb[k].indices) EXPECT_NE(idx, slots[k]);
+      }
     }
   }
 }
 
 TEST_P(KernelWidth, FlaggedLaneAtEveryPosition) {
-  // One j close enough to the i-particle that rinv^2 saturates, the rest
-  // far enough that nothing does: the flagged lane sits at each position
-  // of a full group and of the remainder (71 slots = 64 + one group of 4
-  // + 3 left over), and its block is recomputed with the scalar ops.
+  // Seven i-particles on a ring (a full group and a partial one at either
+  // width) and j-particles well outside it, in a format whose rinv^2
+  // saturates below r ~0.18: nothing flags until one j sits next to one
+  // i-slot. That lane flags — at every lane position, at the first and at
+  // the last j — and takes that j through the scalar ops in place, while
+  // the other lanes of its group stay on the lane path.
   NumberFormats fmt;
   fmt.pipeline = FloatFormat(12, -62, 5);
   fmt.velocity = fmt.pipeline;
@@ -544,43 +578,83 @@ TEST_P(KernelWidth, FlaggedLaneAtEveryPosition) {
   const double near = 0.05;
   ASSERT_EQ(fmt.pipeline.quantize(1.0 / (near * near)), fmt.pipeline.max_value());
   Rng rng(0xf1a9);
-  std::vector<JParticle> base(71);
+  std::vector<JParticle> base(40);
   for (auto& p : base) {
     p.mass = 1.0 / 128.0;
-    const double r = rng.uniform(0.5, 0.9);
+    const double r = rng.uniform(1.5, 1.9);
     const double phi = rng.uniform(0.0, 6.0);
     p.pos = {r * std::cos(phi), r * std::sin(phi), rng.uniform(-0.1, 0.1)};
     p.vel = {rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)};
   }
-  PredictedState origin;
-  origin.index = 1000;  // not a j-slot: no self slot
-  std::vector<IParticlePacket> iblock = {quantize_i_particle(origin, fmt)};
-  iblock[0].h2 = 0.5;
+  std::vector<IParticlePacket> iblock;
+  for (std::uint32_t k = 0; k < 7; ++k) {
+    PredictedState s;
+    s.index = 1000 + k;  // not a j-slot: no self slot
+    const double phi = 0.9 * k;
+    s.pos = {0.7 * std::cos(phi), 0.7 * std::sin(phi), 0.0};
+    iblock.push_back(quantize_i_particle(s, fmt));
+    iblock.back().h2 = 0.5;
+  }
   const MachineConfig mc;
-  for (std::size_t at = 0; at < base.size(); ++at) {
-    SCOPED_TRACE(::testing::Message() << "near slot " << at);
-    auto js = base;
-    js[at].pos = {near, 0.0, 0.0};
-    const auto p = run_iblock(mc, fmt, js, js.size(), iblock, 0.0, 1e-6, 8);
-    expect_bit_identical(p.kernel, p.reference);
-    ASSERT_TRUE(p.kernel.nb[0].has_nearest);
-    EXPECT_EQ(p.kernel.nb[0].nearest, at);
+  for (std::size_t lane = 0; lane < iblock.size(); ++lane) {
+    for (std::size_t at : {std::size_t{0}, base.size() - 1}) {
+      SCOPED_TRACE(::testing::Message() << "near slot " << lane << " j " << at);
+      auto js = base;
+      const double phi = 0.9 * static_cast<double>(lane);
+      js[at].pos = {0.7 * std::cos(phi) + near, 0.7 * std::sin(phi), 0.0};
+      const auto p = run_iblock(mc, fmt, js, js.size(), iblock, 0.0, 1e-6, 8);
+      expect_bit_identical(p.kernel, p.reference);
+      ASSERT_TRUE(p.kernel.nb[lane].has_nearest);
+      EXPECT_EQ(p.kernel.nb[lane].nearest, at);
+    }
   }
 }
 
 TEST_P(KernelWidth, NeighborFifoOverflowMatchesReference) {
-  // A neighbor radius around everything and a chip FIFO of 8: the lists
-  // overflow early in the first block and the flag must match.
+  // Per-slot neighbor radii and a chip FIFO of 8: the slots with wide radii
+  // overflow early, the narrow ones never do, within the same lane groups.
   const auto js = random_js(130, 0xf1f0);
   MachineConfig mc;
   mc.neighbor_buffer_per_chip = 8;
   const NumberFormats fmt;
-  const auto p = run_both(mc, fmt, js, js.size(), 7, 0.125, 1e-4, 256, 16.0);
-  expect_bit_identical(p.kernel, p.reference);
-  for (const auto& nb : p.kernel.nb) {
-    EXPECT_TRUE(nb.overflow);
-    EXPECT_EQ(nb.indices.size(), 8u);
+  auto iblock = make_iblock(fmt, js, 7, 256, 0.0);
+  for (std::size_t k = 0; k < iblock.size(); ++k) {
+    iblock[k].h2 = k % 2 == 0 ? 16.0 : 1e-6;
   }
+  const auto p = run_iblock(mc, fmt, js, js.size(), iblock, 0.125, 1e-4, 256);
+  expect_bit_identical(p.kernel, p.reference);
+  for (std::size_t k = 0; k < iblock.size(); ++k) {
+    EXPECT_EQ(p.kernel.nb[k].overflow, k % 2 == 0) << k;
+    EXPECT_EQ(p.kernel.nb[k].indices.size(), k % 2 == 0 ? 8u : 0u) << k;
+  }
+}
+
+TEST_P(KernelWidth, PerSlotExponentsAndOverflow) {
+  // Each slot of a lane group on its own block exponents; slot 5 with its
+  // acc words below and its pot word above the window where the grid scale
+  // is an exact power of two (the ldexp fallback, whose group runs scalar);
+  // slot 9 with a pot exponent so small that its sum overflows halfway
+  // through the j stream while its acc and jerk words and its lane
+  // neighbours' words do not.
+  const auto js = random_js(64, 0xe4b5);
+  const MachineConfig mc;
+  const NumberFormats fmt;
+  const auto iblock = make_iblock(fmt, js, 13, 0, 0.0);
+  std::vector<BlockExponents> exps(iblock.size());
+  for (std::size_t k = 0; k < exps.size(); ++k) {
+    const int e = static_cast<int>(k % 5);
+    exps[k] = {8 + e, 10 + e, 4 + e};
+  }
+  exps[5] = {1100, 10, -1100};
+  exps[9].pot = -8;
+  const auto p = run_iblock(mc, fmt, js, js.size(), iblock, 0.125, 1e-4, 0, exps);
+  expect_bit_identical(p.kernel, p.reference);
+  EXPECT_TRUE(p.reference.acc[9].pot.overflow());
+  EXPECT_NE(p.reference.acc[9].pot.mantissa(), 0);
+  for (int w = 0; w < 6; ++w) EXPECT_FALSE(p.reference.acc[9].word(w).overflow()) << w;
+  for (std::size_t k : {8u, 10u, 11u}) EXPECT_FALSE(p.reference.acc[k].overflow()) << k;
+  EXPECT_TRUE(p.reference.acc[5].pot.overflow());
+  EXPECT_EQ(p.reference.acc[5].acc[0].mantissa(), 0);
 }
 
 TEST_P(KernelWidth, GoldenFixtureMatchesKernelAndReference) { expect_golden_fixture(); }

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -53,9 +54,11 @@ TEST(FixedPointCodec, RejectsOutOfRange) {
   EXPECT_THROW(FixedPointCodec(-1.0), PreconditionError);
 }
 
-TEST(RoundToInt64, MatchesLlrint) {
+/// round_to_int64's domain |x| < 2^62: random magnitudes, ties and
+/// near-ties at every scale below 2^52, the 2^52 and 2^53 switch-overs,
+/// the top of the domain, and both zeros.
+std::vector<double> round_probes() {
   std::vector<double> xs;
-  // Random magnitudes over the whole domain |x| < 2^62.
   Rng rng(0x11a1);
   for (int i = 0; i < 200000; ++i) {
     const double x = std::ldexp(rng.uniform(0.5, 1.0), static_cast<int>(rng.uniform(-60, 62)));
@@ -81,14 +84,198 @@ TEST(RoundToInt64, MatchesLlrint) {
       }
     }
   }
-  xs.push_back(0.0);
-  xs.push_back(-0.0);
-  xs.push_back(0.25);
-  xs.push_back(-0.75);
-  for (double x : xs) {
+  for (double x : {0.0, -0.0, 0.25, -0.75, 5e-324, -1e-300}) xs.push_back(x);
+  return xs;
+}
+
+TEST(RoundToInt64, MatchesLlrint) {
+  for (double x : round_probes()) {
     ASSERT_EQ(round_to_int64(x), std::llrint(x)) << std::hexfloat << x;
   }
 }
+
+// --- the lane forms, at two lanes and, in an x86-64-v3 function, four ----
+
+template <int W>
+void run_lane_rounds(const std::vector<double>& xs, std::vector<std::int64_t>& out) {
+  out.resize(xs.size());
+  for (std::size_t i = 0; i + W <= xs.size(); i += W) {
+    const LaneInts<W> r = round_to_int64(Lanes<W>::load(&xs[i]));
+    for (int l = 0; l < W; ++l) out[i + static_cast<std::size_t>(l)] = r[l];
+  }
+}
+
+/// Lane l of `words` takes xs[W * s + l] at step s through
+/// LaneAccumulator<W>: loaded, added step by step, stored back.
+template <int W>
+void run_lane_adds(std::vector<BlockFloatAccumulator>& words, const std::vector<double>& xs) {
+  const BlockFloatAccumulator* from[W];
+  BlockFloatAccumulator* to[W];
+  for (int l = 0; l < W; ++l) from[l] = to[l] = &words[static_cast<std::size_t>(l)];
+  LaneAccumulator<W> acc;
+  acc.load(from);
+  for (std::size_t i = 0; i + W <= xs.size(); i += W) acc.add(Lanes<W>::load(&xs[i]));
+  acc.store(to, W);
+}
+
+void lane_rounds(int width, const std::vector<double>& xs, std::vector<std::int64_t>& out);
+void lane_adds(int width, std::vector<BlockFloatAccumulator>& words,
+               const std::vector<double>& xs);
+
+#if defined(__x86_64__)
+[[gnu::target("arch=x86-64-v3")]] void lane_rounds_at_4(const std::vector<double>& xs,
+                                                        std::vector<std::int64_t>& out) {
+  run_lane_rounds<4>(xs, out);
+}
+[[gnu::target("arch=x86-64-v3")]] void lane_adds_at_4(std::vector<BlockFloatAccumulator>& words,
+                                                      const std::vector<double>& xs) {
+  run_lane_adds<4>(words, xs);
+}
+#endif
+
+void lane_rounds(int width, const std::vector<double>& xs, std::vector<std::int64_t>& out) {
+  if (width == 2) run_lane_rounds<2>(xs, out);
+#if defined(__x86_64__)
+  if (width == 4) lane_rounds_at_4(xs, out);
+#endif
+}
+void lane_adds(int width, std::vector<BlockFloatAccumulator>& words,
+               const std::vector<double>& xs) {
+  if (width == 2) run_lane_adds<2>(words, xs);
+#if defined(__x86_64__)
+  if (width == 4) lane_adds_at_4(words, xs);
+#endif
+}
+
+/// Runs each test at the lane width of its parameter (four lanes skip on a
+/// CPU without x86-64-v3).
+class LaneWidth : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    if (GetParam() > host_lane_width()) {
+      GTEST_SKIP() << "four-lane ops need an x86-64 CPU with AVX2, FMA and BMI1/2 "
+                      "(x86-64-v3); this one runs two lanes only";
+    }
+  }
+};
+
+TEST_P(LaneWidth, RoundMatchesScalarOnEveryLane) {
+  const std::vector<double> xs = round_probes();
+  // Every probe on every lane position: the probes shifted by one each pass.
+  for (int shift = 0; shift < GetParam(); ++shift) {
+    std::vector<double> shifted(xs.begin() + shift, xs.end());
+    std::vector<std::int64_t> lanes;
+    lane_rounds(GetParam(), shifted, lanes);
+    for (std::size_t i = 0; i + static_cast<std::size_t>(GetParam()) <= shifted.size(); ++i) {
+      ASSERT_EQ(lanes[i], round_to_int64(shifted[i])) << std::hexfloat << shifted[i];
+    }
+  }
+}
+
+/// Lane l's word on block exponent exps[l] takes streams[l] in order, once
+/// through add() and once through the lane add; every word's mantissa and
+/// overflow flag must agree. Returns the words' overflow flags.
+std::vector<bool> expect_lane_adds_match(int width, const int* exps,
+                                         const std::vector<std::vector<double>>& streams) {
+  const std::size_t w = static_cast<std::size_t>(width);
+  std::vector<BlockFloatAccumulator> one(w);
+  std::vector<BlockFloatAccumulator> lanes(w);
+  for (std::size_t l = 0; l < w; ++l) {
+    one[l].reset(exps[l]);
+    lanes[l].reset(exps[l]);
+  }
+  std::vector<double> xs;
+  for (std::size_t i = 0; i < streams[0].size(); ++i) {
+    for (std::size_t l = 0; l < w; ++l) {
+      one[l].add(streams[l][i]);
+      xs.push_back(streams[l][i]);
+    }
+  }
+  lane_adds(width, lanes, xs);
+  std::vector<bool> flags;
+  for (std::size_t l = 0; l < w; ++l) {
+    EXPECT_EQ(lanes[l].mantissa(), one[l].mantissa()) << "lane " << l;
+    EXPECT_EQ(lanes[l].overflow(), one[l].overflow()) << "lane " << l;
+    flags.push_back(one[l].overflow());
+  }
+  return flags;
+}
+
+TEST_P(LaneWidth, AddMatchesAddsInOrder) {
+  // Each lane its own word on its own block exponent and its own addend
+  // stream: random addends, ones whose grid value sits just below and
+  // above 2^52, rounding ties of both parities and zeros of both signs;
+  // then the same with addends just below and at 2^62 on the grid, inf and
+  // NaN (refused, flagging the word); and a run that overflows the int64
+  // sum (refused) on one lane only.
+  const int width = GetParam();
+  const std::size_t w = static_cast<std::size_t>(width);
+  const int exps[] = {0, -7, 12, 3};
+  const double frac = BlockFloatAccumulator::kFracBits;
+  std::vector<double> grid = {0.5, 1.5, 2.5, 7.5, 8.5, 0x1p52 - 1.5, 0x1p52 - 0.5,
+                              std::nextafter(0x1p52, 0.0), 0x1p52, 0x1p52 + 2.0};
+  Rng rng(0x1a4e);
+  std::vector<std::vector<double>> streams(w);
+  for (std::size_t l = 0; l < w; ++l) {
+    const double unit = std::ldexp(1.0, exps[l] - static_cast<int>(frac));
+    std::vector<double>& s = streams[l];
+    for (int i = 0; i < 400; ++i) {
+      s.push_back(std::ldexp(rng.uniform(-1.0, 1.0),
+                             exps[l] + static_cast<int>(rng.uniform(-40, 0))));
+    }
+    for (double g : grid) {
+      for (double sign : {1.0, -1.0}) {
+        s.insert(s.begin() + static_cast<long>(rng.uniform(0, 400)), sign * g * unit);
+      }
+    }
+    s.insert(s.begin() + 100, 0.0);
+    s.insert(s.begin() + 200, -0.0);
+  }
+  EXPECT_EQ(expect_lane_adds_match(width, exps, streams), std::vector<bool>(w, false));
+
+  // One lane's sum overflows: eight addends of 2^61 on the grid; the
+  // fourth carries past 2^63 and it and the rest are refused.
+  auto overflowing = streams;
+  for (std::size_t i = 0; i < 8; ++i) {
+    overflowing[1][250 + i] = std::ldexp(1.0, 61 + exps[1] - static_cast<int>(frac));
+  }
+  std::vector<bool> only_lane_1(w, false);
+  only_lane_1[1] = true;
+  EXPECT_EQ(expect_lane_adds_match(width, exps, overflowing), only_lane_1);
+
+  // Out-of-range addends, each refused with the flag raised.
+  auto refused = streams;
+  for (std::size_t l = 0; l < w; ++l) {
+    const double unit = std::ldexp(1.0, exps[l] - static_cast<int>(frac));
+    const double at[] = {std::nextafter(0x1p62, 0.0) * unit, 0x1p62 * unit,
+                         -std::nextafter(0x1p62, 0.0) * unit,
+                         std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()};
+    refused[l][50 + 40 * l] = at[l % 5];
+  }
+  expect_lane_adds_match(width, exps, refused);
+}
+
+TEST_P(LaneWidth, StoreOrsIntoTheStickyFlag) {
+  // store() ORs the lanes' flags into the words: a flag raised before the
+  // load survives a clean run of lane adds.
+  const std::size_t w = static_cast<std::size_t>(GetParam());
+  std::vector<BlockFloatAccumulator> words(w);
+  for (auto& a : words) a.reset(0);
+  words[0].add(std::numeric_limits<double>::infinity());
+  std::vector<double> xs(4 * w, 0x1p-20);
+  lane_adds(GetParam(), words, xs);
+  EXPECT_TRUE(words[0].overflow());
+  for (std::size_t l = 0; l < w; ++l) {
+    EXPECT_EQ(words[l].mantissa(), 4 * (std::int64_t{1} << 36)) << l;
+    EXPECT_EQ(words[l].overflow(), l == 0) << l;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Lanes, LaneWidth, ::testing::Values(2, 4),
+                         [](const ::testing::TestParamInfo<int>& i) {
+                           return "W" + std::to_string(i.param);
+                         });
 
 TEST(BlockFloatAccumulator, AddendAtTheOverflowBoundary) {
   // Block exponent 62 - kFracBits = 6 makes the scale 2^50: the addend
@@ -236,40 +423,6 @@ TEST(BlockFloatAccumulator, ScaleIsExactPowerOfTwoAcrossTheWindow) {
   for (int k : {-1100, -1022, 1024, 1100}) {
     acc.reset(BlockFloatAccumulator::kFracBits - k);
     EXPECT_EQ(acc.scale(), 0.0) << "k=" << k;
-  }
-}
-
-TEST(BlockFloatAccumulator, AddRunMatchesAddsInOrder) {
-  // A run of adds held in registers: the same mantissa and the same
-  // overflow flag as add() one by one, through zeros, a sum that
-  // overflows and is refused, an out-of-range addend, and block exponents
-  // inside and outside the cached-scale window.
-  Rng rng(0xadd5);
-  std::vector<double> xs;
-  for (int i = 0; i < 500; ++i) {
-    const int e = static_cast<int>(rng.uniform(-30, 6));
-    xs.push_back(i % 7 == 0 ? 0.0 : std::ldexp(rng.uniform(-1.0, 1.0), e));
-  }
-  // Addends that land on rounding ties, and ones past 2^52 and 2^62 on the
-  // grid, at block exponent 0 (grid 2^-56).
-  for (double m :
-       {0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 0x1p52 + 1.0, -0x1p53, 0x1p61, 0x1p62}) {
-    xs.push_back(m * 0x1p-56);
-  }
-  xs.push_back(0x1p68);  // overflows the sum at block exponent 8
-  xs.push_back(-0x1p5);
-  xs.push_back(std::numeric_limits<double>::infinity());
-  xs.push_back(0x1p-3);
-  for (int block_exp : {-1100, -40, 0, 8, 12, 1100}) {
-    BlockFloatAccumulator one(block_exp);
-    for (double x : xs) one.add(x);
-    for (std::size_t cut : {std::size_t{0}, std::size_t{250}, xs.size()}) {
-      BlockFloatAccumulator run(block_exp);
-      run.add_run({xs.data(), cut});
-      run.add_run({xs.data() + cut, xs.size() - cut});
-      EXPECT_EQ(run.mantissa(), one.mantissa()) << block_exp << ' ' << cut;
-      EXPECT_EQ(run.overflow(), one.overflow()) << block_exp << ' ' << cut;
-    }
   }
 }
 
