@@ -7,7 +7,8 @@
 #
 # Select with the cache variable:
 #
-#   -DGRAPE6_SANITIZE=address,undefined   # ASan + UBSan (asan-ubsan preset)
+#   -DGRAPE6_SANITIZE=address,undefined   # ASan + UBSan + float-cast-overflow
+#                                         # (asan-ubsan preset)
 #   -DGRAPE6_SANITIZE=thread              # TSan        (tsan preset)
 #   -DGRAPE6_SANITIZE=memory              # MSan        (clang only, no preset yet)
 #
@@ -25,7 +26,11 @@ add_library(grape6_sanitizers INTERFACE)
 
 if(GRAPE6_SANITIZE)
   if(GRAPE6_SANITIZE STREQUAL "address,undefined")
-    set(_g6_san_flags -fsanitize=address,undefined -fno-sanitize-recover=all)
+    # GCC's -fsanitize=undefined leaves float-cast-overflow out: without
+    # it a double-to-integer cast out of range (a JSON number read with
+    # a bare static_cast) is silent undefined behaviour.
+    set(_g6_san_flags -fsanitize=address,undefined,float-cast-overflow
+                      -fno-sanitize-recover=all)
   elseif(GRAPE6_SANITIZE STREQUAL "thread")
     set(_g6_san_flags -fsanitize=thread)
   elseif(GRAPE6_SANITIZE STREQUAL "memory")

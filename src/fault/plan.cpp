@@ -2,9 +2,8 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <limits>
-#include <optional>
 #include <sstream>
+#include <utility>
 
 #include "util/errors.hpp"
 #include "obs/json.hpp"
@@ -30,90 +29,58 @@ FaultPlan FaultPlan::uniform_transients(double rate, std::uint64_t seed) {
 
 namespace {
 
-double require_rate(const obs::JsonValue& v, const char* key) {
-  if (!v.is_number()) throw FaultError(std::string("fault plan: ") + key + " must be a number");
-  const double r = v.as_number();
-  if (r < 0.0 || r > 1.0)
-    throw FaultError(std::string("fault plan: ") + key + " outside [0, 1]");
-  return r;
-}
+[[noreturn]] void fail(const std::string& what) { throw FaultError(what); }
 
-double require_number(const obs::JsonValue& v, const char* key) {
-  if (!v.is_number()) throw FaultError(std::string("fault plan: ") + key + " must be a number");
-  return v.as_number();
-}
-
-template <typename Int = int>
-Int require_int(const obs::JsonValue& v, const char* key) {
-  const std::optional<Int> i = obs::json_integer<Int>(require_number(v, key));
-  if (!i) {
-    throw FaultError(std::string("fault plan: ") + key +
-                     " must be an integer in [" +
-                     std::to_string(std::numeric_limits<Int>::min()) + ", " +
-                     std::to_string(std::numeric_limits<Int>::max()) + "]");
-  }
-  return *i;
-}
-
-HardFailure parse_hard_failure(const obs::JsonValue& v) {
-  if (!v.is_object()) throw FaultError("fault plan: hard_failures entries must be objects");
+HardFailure parse_hard_failure(const obs::JsonValue& v, std::size_t index) {
+  const obs::JsonObjectReader r(
+      v, "fault plan: hard_failures[" + std::to_string(index) + "]", fail,
+      {"time", "board", "module", "chip"}, {"board"});
   HardFailure f;
-  bool saw_board = false;
-  for (const auto& [key, value] : v.members()) {
-    if (key == "time") {
-      f.time = require_number(value, "hard_failures.time");
-    } else if (key == "board") {
-      f.board = require_int(value, "hard_failures.board");
-      saw_board = true;
-    } else if (key == "module") {
-      f.module = require_int(value, "hard_failures.module");
-    } else if (key == "chip") {
-      f.chip = require_int(value, "hard_failures.chip");
-    } else {
-      throw FaultError("fault plan: unknown hard_failures key '" + key + "'");
-    }
-  }
-  if (!saw_board) throw FaultError("fault plan: hard_failures entry missing 'board'");
+  r.number("time", &f.time);
+  r.integer("board", &f.board);
+  r.integer("module", &f.module);
+  r.integer("chip", &f.chip);
   return f;
 }
 
 }  // namespace
 
 FaultPlan FaultPlan::from_json(const obs::JsonValue& v) {
-  if (!v.is_object()) throw FaultError("fault plan: top level must be a JSON object");
+  const obs::JsonObjectReader r(
+      v, "fault plan", fail,
+      {"seed", "jmem_flip_rate", "ipacket_rate", "compute_rate", "stuck_chips",
+       "hard_failures", "link_drop_rate", "link_spike_rate",
+       "link_spike_factor", "retransmit_timeout_s"});
   FaultPlan plan;
-  for (const auto& [key, value] : v.members()) {
-    if (key == "seed") {
-      plan.seed = require_int<std::uint64_t>(value, "seed");
-    } else if (key == "jmem_flip_rate") {
-      plan.jmem_flip_rate = require_rate(value, "jmem_flip_rate");
-    } else if (key == "ipacket_rate") {
-      plan.ipacket_rate = require_rate(value, "ipacket_rate");
-    } else if (key == "compute_rate") {
-      plan.compute_rate = require_rate(value, "compute_rate");
-    } else if (key == "stuck_chips") {
-      if (!value.is_array()) throw FaultError("fault plan: stuck_chips must be an array");
-      for (const auto& item : value.items())
-        plan.stuck_chips.push_back(require_int(item, "stuck_chips[]"));
-    } else if (key == "hard_failures") {
-      if (!value.is_array()) throw FaultError("fault plan: hard_failures must be an array");
-      for (const auto& item : value.items())
-        plan.hard_failures.push_back(parse_hard_failure(item));
-    } else if (key == "link_drop_rate") {
-      plan.link_drop_rate = require_rate(value, "link_drop_rate");
-    } else if (key == "link_spike_rate") {
-      plan.link_spike_rate = require_rate(value, "link_spike_rate");
-    } else if (key == "link_spike_factor") {
-      plan.link_spike_factor = require_number(value, "link_spike_factor");
-      if (plan.link_spike_factor < 1.0)
-        throw FaultError("fault plan: link_spike_factor must be >= 1");
-    } else if (key == "retransmit_timeout_s") {
-      plan.retransmit_timeout_s = require_number(value, "retransmit_timeout_s");
-      if (plan.retransmit_timeout_s < 0.0)
-        throw FaultError("fault plan: retransmit_timeout_s must be >= 0");
-    } else {
-      throw FaultError("fault plan: unknown key '" + key + "'");
+  r.integer("seed", &plan.seed);
+  for (const auto& [key, rate] :
+       {std::pair{"jmem_flip_rate", &plan.jmem_flip_rate},
+        std::pair{"ipacket_rate", &plan.ipacket_rate},
+        std::pair{"compute_rate", &plan.compute_rate},
+        std::pair{"link_drop_rate", &plan.link_drop_rate},
+        std::pair{"link_spike_rate", &plan.link_spike_rate}}) {
+    if (r.number(key, rate) && !(*rate >= 0.0 && *rate <= 1.0)) {
+      r.fail(std::string(key) + " outside [0, 1]");
     }
+  }
+  if (r.has("stuck_chips")) {
+    for (const obs::JsonValue& item : r.array("stuck_chips")) {
+      plan.stuck_chips.push_back(r.integer<int>(item, "stuck_chips[]"));
+    }
+  }
+  if (r.has("hard_failures")) {
+    const std::vector<obs::JsonValue>& items = r.array("hard_failures");
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      plan.hard_failures.push_back(parse_hard_failure(items[i], i));
+    }
+  }
+  if (r.number("link_spike_factor", &plan.link_spike_factor) &&
+      plan.link_spike_factor < 1.0) {
+    r.fail("link_spike_factor must be >= 1");
+  }
+  if (r.number("retransmit_timeout_s", &plan.retransmit_timeout_s) &&
+      plan.retransmit_timeout_s < 0.0) {
+    r.fail("retransmit_timeout_s must be >= 0");
   }
   return plan;
 }

@@ -1,5 +1,6 @@
 #include "obs/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -321,6 +322,64 @@ class JsonParser {
 JsonValue JsonValue::parse(std::string_view text) {
   G6_REQUIRE(!text.empty());
   return JsonParser(text).parse_document();
+}
+
+std::string json_number(double v) {
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
+  G6_ASSERT(n > 0 && static_cast<std::size_t>(n) < sizeof(buf));
+  return std::string(buf, static_cast<std::size_t>(n));
+}
+
+JsonObjectReader::JsonObjectReader(
+    const JsonValue& obj, std::string where, JsonFail on_error,
+    const std::vector<std::string_view>& allowed,
+    const std::vector<std::string_view>& required)
+    : obj_(obj), where_(std::move(where)), fail_(on_error) {
+  G6_REQUIRE(fail_ != nullptr);
+  if (!obj_.is_object()) {
+    fail_(where_ + " must be a JSON object");
+    throw std::logic_error("JsonObjectReader: on_error returned");
+  }
+  for (const auto& [key, value] : obj_.members()) {
+    (void)value;
+    if (!allowed.empty() &&
+        std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
+      fail("unknown key '" + key + "'");
+    }
+  }
+  for (const std::string_view key : required) at(key);
+}
+
+const JsonValue& JsonObjectReader::at(std::string_view key) const {
+  const JsonValue* v = obj_.find(key);
+  if (v == nullptr) fail("missing required key '" + std::string(key) + "'");
+  return *v;
+}
+
+const JsonValue& JsonObjectReader::typed(std::string_view key,
+                                         JsonValue::Type type,
+                                         const char* what) const {
+  const JsonValue& v = at(key);
+  if (v.type() != type) fail_key(key, std::string("must be ") + what);
+  return v;
+}
+
+double JsonObjectReader::number(const JsonValue& v,
+                                std::string_view key) const {
+  if (!v.is_number()) fail_key(key, "must be a number");
+  return v.as_number();
+}
+
+void JsonObjectReader::fail(const std::string& what) const {
+  fail_(where_ + ": " + what);
+  // A JsonFail must throw; one that returns is a programming error.
+  throw std::logic_error("JsonObjectReader: on_error returned");
+}
+
+void JsonObjectReader::fail_key(std::string_view key,
+                                const std::string& what) const {
+  fail("key '" + std::string(key) + "' " + what);
 }
 
 }  // namespace g6::obs

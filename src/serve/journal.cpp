@@ -1,10 +1,10 @@
 #include "serve/journal.hpp"
 
 #include <fstream>
-#include <limits>
-#include <optional>
-#include <set>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "obs/json.hpp"
 #include "util/check.hpp"
@@ -13,8 +13,10 @@ namespace g6::serve {
 
 namespace {
 
+using obs::JsonObjectReader;
 using obs::JsonValue;
 using obs::json_escape;
+using obs::json_number;
 
 [[noreturn]] void fail(const std::string& what) {
   throw JournalError("journal: " + what);
@@ -22,27 +24,7 @@ using obs::json_escape;
 
 // ---- encoding -----------------------------------------------------------
 
-/// Shortest exact double: 17 significant digits round-trip binary64.
-std::string num(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
-}
-
 std::string quote(const std::string& s) { return '"' + json_escape(s) + '"'; }
-
-void encode_spec(std::ostream& os, const JobSpec& s) {
-  os << "{\"name\":" << quote(s.name) << ",\"model\":" << quote(s.model)
-     << ",\"n\":" << s.n << ",\"w0\":" << num(s.w0)
-     << ",\"t_end\":" << num(s.t_end) << ",\"eps\":" << num(s.eps)
-     << ",\"eta\":" << num(s.eta) << ",\"seed\":" << s.seed
-     << ",\"boards\":" << s.boards << ",\"boards_min\":" << s.boards_min
-     << ",\"boards_max\":" << s.boards_max
-     << ",\"priority\":" << quote(priority_name(s.priority))
-     << ",\"deadline_rounds\":" << s.deadline_rounds
-     << ",\"chaos_fail_quanta\":" << s.chaos_fail_quanta << "}";
-}
 
 void encode_config(std::ostream& os, const ServiceConfig& c) {
   os << "{\"max_queue_depth\":" << c.max_queue_depth
@@ -66,122 +48,95 @@ void encode_config(std::ostream& os, const ServiceConfig& c) {
 
 // ---- decoding -----------------------------------------------------------
 
-void check_keys(const JsonValue& obj, const std::set<std::string>& allowed,
-                const std::string& where) {
-  if (!obj.is_object()) fail(where + " must be a JSON object");
-  for (const auto& [key, value] : obj.members()) {
-    (void)value;
-    if (allowed.count(key) == 0) fail(where + ": unknown key '" + key + "'");
-  }
-  for (const std::string& key : allowed) {
-    if (obj.find(key) == nullptr) {
-      fail(where + ": missing required key '" + key + "'");
-    }
-  }
-}
-
-double number_at(const JsonValue& obj, const std::string& key,
-                 const std::string& where) {
-  const JsonValue* v = obj.find(key);
-  G6_ASSERT(v != nullptr);  // check_keys enforced presence
-  if (!v->is_number()) fail(where + ": key '" + key + "' must be a number");
-  return v->as_number();
-}
-
-/// An integer key of type Int: unsigned fields take 0..max, signed ones
-/// their whole range; fractions and out-of-range values are refused.
-template <typename Int>
-Int integer_at(const JsonValue& obj, const std::string& key,
-               const std::string& where) {
-  const std::optional<Int> v =
-      obs::json_integer<Int>(number_at(obj, key, where));
-  if (!v) {
-    fail(where + ": key '" + key + "' must be an integer in [" +
-         std::to_string(std::numeric_limits<Int>::min()) + ", " +
-         std::to_string(std::numeric_limits<Int>::max()) + "]");
-  }
-  return *v;
-}
-
-std::uint64_t u64_at(const JsonValue& obj, const std::string& key,
-                     const std::string& where) {
-  return integer_at<std::uint64_t>(obj, key, where);
-}
-
-std::string string_at(const JsonValue& obj, const std::string& key,
-                      const std::string& where) {
-  const JsonValue* v = obj.find(key);
-  G6_ASSERT(v != nullptr);
-  if (!v->is_string()) fail(where + ": key '" + key + "' must be a string");
-  return v->as_string();
-}
-
-JobSpec decode_spec(const JsonValue& j, const std::string& where) {
-  check_keys(j,
-             {"name", "model", "n", "w0", "t_end", "eps", "eta", "seed",
-              "boards", "boards_min", "boards_max", "priority",
-              "deadline_rounds", "chaos_fail_quanta"},
-             where);
-  JobSpec s;
-  s.name = string_at(j, "name", where);
-  s.model = string_at(j, "model", where);
-  s.n = integer_at<std::size_t>(j, "n", where);
-  s.w0 = number_at(j, "w0", where);
-  s.t_end = number_at(j, "t_end", where);
-  s.eps = number_at(j, "eps", where);
-  s.eta = number_at(j, "eta", where);
-  s.seed = integer_at<unsigned>(j, "seed", where);
-  s.boards = integer_at<std::size_t>(j, "boards", where);
-  s.boards_min = integer_at<std::size_t>(j, "boards_min", where);
-  s.boards_max = integer_at<std::size_t>(j, "boards_max", where);
-  const std::string prio = string_at(j, "priority", where);
-  if (prio == "interactive") {
-    s.priority = Priority::kInteractive;
-  } else if (prio == "batch") {
-    s.priority = Priority::kBatch;
-  } else {
-    fail(where + ": unknown priority '" + prio + "'");
-  }
-  s.deadline_rounds = u64_at(j, "deadline_rounds", where);
-  s.chaos_fail_quanta = integer_at<int>(j, "chaos_fail_quanta", where);
-  return s;
-}
-
 ServiceConfig decode_config(const JsonValue& j, const std::string& where) {
-  check_keys(j,
-             {"max_queue_depth", "quantum_blocksteps", "max_requeues",
-              "max_job_failures", "backoff_base_rounds", "boards_per_host",
-              "hosts_per_cluster", "clusters", "checkpoint_dir",
-              "checkpoint_every_quanta", "board_deaths"},
-             where);
+  static const std::vector<std::string_view> kKeys = {
+      "max_queue_depth",   "quantum_blocksteps", "max_requeues",
+      "max_job_failures",  "backoff_base_rounds", "boards_per_host",
+      "hosts_per_cluster", "clusters",           "checkpoint_dir",
+      "checkpoint_every_quanta", "board_deaths"};
+  const JsonObjectReader r(j, where, fail, kKeys, kKeys);
   ServiceConfig c;
-  c.max_queue_depth = integer_at<std::size_t>(j, "max_queue_depth", where);
-  c.quantum_blocksteps =
-      integer_at<std::size_t>(j, "quantum_blocksteps", where);
-  c.max_requeues = integer_at<int>(j, "max_requeues", where);
-  c.max_job_failures = integer_at<int>(j, "max_job_failures", where);
-  c.backoff_base_rounds = u64_at(j, "backoff_base_rounds", where);
-  c.machine.boards_per_host =
-      integer_at<std::size_t>(j, "boards_per_host", where);
-  c.machine.hosts_per_cluster =
-      integer_at<std::size_t>(j, "hosts_per_cluster", where);
-  c.machine.clusters = integer_at<std::size_t>(j, "clusters", where);
-  c.durability.checkpoint_dir = string_at(j, "checkpoint_dir", where);
-  c.durability.checkpoint_every_quanta =
-      u64_at(j, "checkpoint_every_quanta", where);
-  const JsonValue* deaths = j.find("board_deaths");
-  if (!deaths->is_array()) fail(where + ".board_deaths must be an array");
-  for (std::size_t i = 0; i < deaths->items().size(); ++i) {
-    const std::string dwhere =
-        where + ".board_deaths[" + std::to_string(i) + "]";
-    const JsonValue& d = deaths->items()[i];
-    check_keys(d, {"round", "board"}, dwhere);
-    BoardDeath death;
-    death.round = u64_at(d, "round", dwhere);
-    death.board = integer_at<std::size_t>(d, "board", dwhere);
-    c.board_deaths.push_back(death);
+  r.integer("max_queue_depth", &c.max_queue_depth);
+  r.integer("quantum_blocksteps", &c.quantum_blocksteps);
+  r.integer("max_requeues", &c.max_requeues);
+  r.integer("max_job_failures", &c.max_job_failures);
+  r.integer("backoff_base_rounds", &c.backoff_base_rounds);
+  r.integer("boards_per_host", &c.machine.boards_per_host);
+  r.integer("hosts_per_cluster", &c.machine.hosts_per_cluster);
+  r.integer("clusters", &c.machine.clusters);
+  r.string("checkpoint_dir", &c.durability.checkpoint_dir);
+  r.integer("checkpoint_every_quanta", &c.durability.checkpoint_every_quanta);
+  const std::vector<JsonValue>& deaths = r.array("board_deaths");
+  for (std::size_t i = 0; i < deaths.size(); ++i) {
+    const JsonObjectReader d(
+        deaths[i], where + ".board_deaths[" + std::to_string(i) + "]", fail,
+        {"round", "board"}, {"round", "board"});
+    c.board_deaths.push_back(
+        {d.integer<std::uint64_t>("round"), d.integer<std::size_t>("board")});
   }
   return c;
+}
+
+/// The keys a record of type `t` carries after seq, type and round, in
+/// the order encode_record writes them; decode_record requires exactly
+/// these.
+std::vector<std::string_view> record_keys(JournalRecordType t) {
+  switch (t) {
+    case JournalRecordType::kOpen:
+      return {"schema", "config"};
+    case JournalRecordType::kRecovered:
+      return {"records"};
+    case JournalRecordType::kSubmitted:
+      return {"job", "spec"};
+    case JournalRecordType::kAdmitted:
+      return {"job"};
+    case JournalRecordType::kRejected:
+    case JournalRecordType::kFailed:
+      return {"job", "reason", "message"};
+    case JournalRecordType::kStarted:
+      return {"job", "boards"};
+    case JournalRecordType::kQuantum:
+      return {"job", "quanta", "t", "steps", "blocksteps"};
+    case JournalRecordType::kCheckpointed:
+      return {"job", "quanta", "file", "tag"};
+    case JournalRecordType::kRequeued:
+      return {"job", "reason", "requeues", "failures", "hold_until"};
+    case JournalRecordType::kBoardDeath:
+      return {"board"};
+    case JournalRecordType::kFinished:
+      return {"job", "quanta", "t", "e0", "e_final", "steps", "blocksteps"};
+    case JournalRecordType::kQuarantined:
+      return {"job", "failures", "file"};
+    case JournalRecordType::kDrained:
+      return {"reason"};
+    case JournalRecordType::kLeaseResized:
+      return {"job", "boards", "reason"};
+  }
+  return {};
+}
+
+/// Call `f(key, field)` for every keyed field of `rec` but seq and round.
+template <typename Record, typename F>
+void for_each_field(Record& rec, F f) {
+  f("job", rec.job);
+  f("spec", rec.spec);
+  f("config", rec.config);
+  f("reason", rec.reason);
+  f("message", rec.message);
+  f("file", rec.file);
+  f("tag", rec.tag);
+  f("quanta", rec.quanta);
+  f("t", rec.t);
+  f("e0", rec.e0);
+  f("e_final", rec.e_final);
+  f("steps", rec.steps);
+  f("blocksteps", rec.blocksteps);
+  f("requeues", rec.requeues);
+  f("failures", rec.failures);
+  f("hold_until", rec.hold_until);
+  f("board", rec.board);
+  f("boards", rec.boards);
+  f("records", rec.records);
 }
 
 JournalRecordType type_from_name(const std::string& name,
@@ -237,67 +192,24 @@ std::string encode_record(const JournalRecord& rec) {
   os << "{\"seq\":" << rec.seq
      << ",\"type\":" << quote(journal_record_type_name(rec.type))
      << ",\"round\":" << rec.round;
-  switch (rec.type) {
-    case JournalRecordType::kOpen:
-      os << ",\"schema\":" << quote(kJournalSchema) << ",\"config\":";
-      encode_config(os, rec.config);
-      break;
-    case JournalRecordType::kRecovered:
-      os << ",\"records\":" << rec.records;
-      break;
-    case JournalRecordType::kSubmitted:
-      os << ",\"job\":" << rec.job << ",\"spec\":";
-      encode_spec(os, rec.spec);
-      break;
-    case JournalRecordType::kAdmitted:
-      os << ",\"job\":" << rec.job;
-      break;
-    case JournalRecordType::kRejected:
-      os << ",\"job\":" << rec.job << ",\"reason\":" << quote(rec.reason)
-         << ",\"message\":" << quote(rec.message);
-      break;
-    case JournalRecordType::kStarted:
-      os << ",\"job\":" << rec.job << ",\"boards\":" << rec.boards;
-      break;
-    case JournalRecordType::kQuantum:
-      os << ",\"job\":" << rec.job << ",\"quanta\":" << rec.quanta
-         << ",\"t\":" << num(rec.t) << ",\"steps\":" << rec.steps
-         << ",\"blocksteps\":" << rec.blocksteps;
-      break;
-    case JournalRecordType::kCheckpointed:
-      os << ",\"job\":" << rec.job << ",\"quanta\":" << rec.quanta
-         << ",\"file\":" << quote(rec.file) << ",\"tag\":" << quote(rec.tag);
-      break;
-    case JournalRecordType::kRequeued:
-      os << ",\"job\":" << rec.job << ",\"reason\":" << quote(rec.reason)
-         << ",\"requeues\":" << rec.requeues
-         << ",\"failures\":" << rec.failures
-         << ",\"hold_until\":" << rec.hold_until;
-      break;
-    case JournalRecordType::kBoardDeath:
-      os << ",\"board\":" << rec.board;
-      break;
-    case JournalRecordType::kFinished:
-      os << ",\"job\":" << rec.job << ",\"quanta\":" << rec.quanta
-         << ",\"t\":" << num(rec.t) << ",\"e0\":" << num(rec.e0)
-         << ",\"e_final\":" << num(rec.e_final) << ",\"steps\":" << rec.steps
-         << ",\"blocksteps\":" << rec.blocksteps;
-      break;
-    case JournalRecordType::kFailed:
-      os << ",\"job\":" << rec.job << ",\"reason\":" << quote(rec.reason)
-         << ",\"message\":" << quote(rec.message);
-      break;
-    case JournalRecordType::kQuarantined:
-      os << ",\"job\":" << rec.job << ",\"failures\":" << rec.failures
-         << ",\"file\":" << quote(rec.file);
-      break;
-    case JournalRecordType::kDrained:
-      os << ",\"reason\":" << quote(rec.reason);
-      break;
-    case JournalRecordType::kLeaseResized:
-      os << ",\"job\":" << rec.job << ",\"boards\":" << rec.boards
-         << ",\"reason\":" << quote(rec.reason);
-      break;
+  for (const std::string_view key : record_keys(rec.type)) {
+    os << ",\"" << key << "\":";
+    if (key == "schema") os << quote(kJournalSchema);
+    for_each_field(rec, [&os, key](std::string_view k, const auto& v) {
+      using T = std::decay_t<decltype(v)>;
+      if (k != key) return;
+      if constexpr (std::is_same_v<T, JobSpec>) {
+        write_job_spec(os, v);
+      } else if constexpr (std::is_same_v<T, ServiceConfig>) {
+        encode_config(os, v);
+      } else if constexpr (std::is_same_v<T, std::string>) {
+        os << quote(v);
+      } else if constexpr (std::is_same_v<T, double>) {
+        os << json_number(v);
+      } else {
+        os << v;
+      }
+    });
   }
   os << "}";
   return os.str();
@@ -310,109 +222,38 @@ JournalRecord decode_record(std::string_view line) {
   } catch (const std::exception& e) {
     fail(std::string("record is not valid JSON: ") + e.what());
   }
-  if (!root.is_object()) fail("record must be a JSON object");
-  const JsonValue* type_v = root.find("type");
-  if (type_v == nullptr || !type_v->is_string()) {
-    fail("record: missing string key 'type'");
-  }
   JournalRecord rec;
-  rec.type = type_from_name(type_v->as_string(), "record");
+  rec.type = type_from_name(
+      JsonObjectReader(root, "record", fail).string("type"), "record");
+  std::vector<std::string_view> keys = {"seq", "type", "round"};
+  for (const std::string_view key : record_keys(rec.type)) keys.push_back(key);
   const std::string where =
       std::string("record '") + journal_record_type_name(rec.type) + "'";
-
-  std::set<std::string> keys = {"seq", "type", "round"};
-  switch (rec.type) {
-    case JournalRecordType::kOpen:
-      keys.insert({"schema", "config"});
-      break;
-    case JournalRecordType::kRecovered:
-      keys.insert("records");
-      break;
-    case JournalRecordType::kSubmitted:
-      keys.insert({"job", "spec"});
-      break;
-    case JournalRecordType::kAdmitted:
-      keys.insert("job");
-      break;
-    case JournalRecordType::kRejected:
-    case JournalRecordType::kFailed:
-      keys.insert({"job", "reason", "message"});
-      break;
-    case JournalRecordType::kStarted:
-      keys.insert({"job", "boards"});
-      break;
-    case JournalRecordType::kQuantum:
-      keys.insert({"job", "quanta", "t", "steps", "blocksteps"});
-      break;
-    case JournalRecordType::kCheckpointed:
-      keys.insert({"job", "quanta", "file", "tag"});
-      break;
-    case JournalRecordType::kRequeued:
-      keys.insert({"job", "reason", "requeues", "failures", "hold_until"});
-      break;
-    case JournalRecordType::kBoardDeath:
-      keys.insert("board");
-      break;
-    case JournalRecordType::kFinished:
-      keys.insert(
-          {"job", "quanta", "t", "e0", "e_final", "steps", "blocksteps"});
-      break;
-    case JournalRecordType::kQuarantined:
-      keys.insert({"job", "failures", "file"});
-      break;
-    case JournalRecordType::kDrained:
-      keys.insert("reason");
-      break;
-    case JournalRecordType::kLeaseResized:
-      keys.insert({"job", "boards", "reason"});
-      break;
+  // Every key of the type must be present, so the reads below assign
+  // exactly the fields this record type carries.
+  const JsonObjectReader r(root, where, fail, keys, keys);
+  rec.seq = r.integer<std::uint64_t>("seq");
+  rec.round = r.integer<std::uint64_t>("round");
+  std::string schema;
+  if (r.string("schema", &schema) && schema != kJournalSchema) {
+    fail(where + ": schema '" + schema + "' (expected " + kJournalSchema +
+         ")");
   }
-  check_keys(root, keys, where);
-
-  rec.seq = u64_at(root, "seq", where);
-  rec.round = u64_at(root, "round", where);
-  if (keys.count("job")) rec.job = u64_at(root, "job", where);
-  if (keys.count("schema")) {
-    const std::string schema = string_at(root, "schema", where);
-    if (schema != kJournalSchema) {
-      fail(where + ": schema '" + schema + "' (expected " + kJournalSchema +
-           ")");
+  for_each_field(rec, [&r, &where](std::string_view key, auto& v) {
+    using T = std::decay_t<decltype(v)>;
+    if (!r.has(key)) return;
+    if constexpr (std::is_same_v<T, JobSpec>) {
+      v = read_job_spec(r.at(key), where + ".spec", fail, /*every_key=*/true);
+    } else if constexpr (std::is_same_v<T, ServiceConfig>) {
+      v = decode_config(r.at(key), where + ".config");
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v = r.string(key);
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = r.number(key);
+    } else {
+      v = r.integer<T>(key);
     }
-  }
-  if (keys.count("config")) {
-    rec.config = decode_config(root.at("config"), where + ".config");
-  }
-  if (keys.count("spec")) {
-    rec.spec = decode_spec(root.at("spec"), where + ".spec");
-  }
-  if (keys.count("records")) rec.records = u64_at(root, "records", where);
-  if (keys.count("reason")) rec.reason = string_at(root, "reason", where);
-  if (keys.count("message")) rec.message = string_at(root, "message", where);
-  if (keys.count("file")) rec.file = string_at(root, "file", where);
-  if (keys.count("tag")) rec.tag = string_at(root, "tag", where);
-  if (keys.count("quanta")) rec.quanta = u64_at(root, "quanta", where);
-  if (keys.count("t")) rec.t = number_at(root, "t", where);
-  if (keys.count("e0")) rec.e0 = number_at(root, "e0", where);
-  if (keys.count("e_final")) rec.e_final = number_at(root, "e_final", where);
-  if (keys.count("steps")) rec.steps = u64_at(root, "steps", where);
-  if (keys.count("blocksteps")) {
-    rec.blocksteps = u64_at(root, "blocksteps", where);
-  }
-  if (keys.count("requeues")) {
-    rec.requeues = integer_at<int>(root, "requeues", where);
-  }
-  if (keys.count("failures")) {
-    rec.failures = integer_at<int>(root, "failures", where);
-  }
-  if (keys.count("hold_until")) {
-    rec.hold_until = u64_at(root, "hold_until", where);
-  }
-  if (keys.count("board")) {
-    rec.board = integer_at<std::size_t>(root, "board", where);
-  }
-  if (keys.count("boards")) {
-    rec.boards = integer_at<std::size_t>(root, "boards", where);
-  }
+  });
   return rec;
 }
 

@@ -64,8 +64,8 @@ enum class JournalRecordType : int {
 const char* journal_record_type_name(JournalRecordType t);
 
 /// One journal line, decoded. A single fat struct: each type uses the
-/// subset of fields its schema defines (see encode_record); the rest
-/// stay at their defaults.
+/// subset of fields its schema defines (record_keys in journal.cpp); the
+/// rest stay at their defaults.
 struct JournalRecord {
   std::uint64_t seq = 0;  ///< 1-based, strictly consecutive
   JournalRecordType type = JournalRecordType::kOpen;

@@ -1,11 +1,8 @@
 #include "serve/manifest.hpp"
 
 #include <fstream>
-#include <limits>
-#include <optional>
 #include <set>
 #include <sstream>
-#include <type_traits>
 
 #include "obs/json.hpp"
 #include "serve/admission.hpp"
@@ -15,160 +12,55 @@ namespace g6::serve {
 
 namespace {
 
+using obs::JsonObjectReader;
 using obs::JsonValue;
 
 [[noreturn]] void fail(const std::string& what) { throw ManifestError(what); }
 
-double number_at(const JsonValue& obj, const std::string& key,
-                 const std::string& where) {
-  const JsonValue* v = obj.find(key);
-  G6_ASSERT(v != nullptr);
-  if (!v->is_number()) fail(where + ": key '" + key + "' must be a number");
-  return v->as_number();
-}
-
-template <typename Int = std::size_t>
-Int count_at(const JsonValue& obj, const std::string& key,
-             const std::string& where) {
-  std::optional<Int> v = obs::json_integer<Int>(number_at(obj, key, where));
-  if constexpr (std::is_signed_v<Int>) {
-    if (v && *v < 0) v.reset();
-  }
-  if (!v) {
-    fail(where + ": key '" + key +
-         "' must be a non-negative integer (at most " +
-         std::to_string(std::numeric_limits<Int>::max()) + ")");
-  }
-  return *v;
-}
-
-std::string string_at(const JsonValue& obj, const std::string& key,
-                      const std::string& where) {
-  const JsonValue* v = obj.find(key);
-  G6_ASSERT(v != nullptr);
-  if (!v->is_string()) fail(where + ": key '" + key + "' must be a string");
-  return v->as_string();
-}
-
-void check_keys(const JsonValue& obj, const std::set<std::string>& allowed,
-                const std::string& where) {
-  if (!obj.is_object()) fail(where + " must be a JSON object");
-  for (const auto& [key, value] : obj.members()) {
-    (void)value;
-    if (allowed.count(key) == 0) {
-      fail(where + ": unknown key '" + key + "'");
-    }
-  }
-}
-
-Priority parse_priority(const std::string& s, const std::string& where) {
-  if (s == "interactive") return Priority::kInteractive;
-  if (s == "batch") return Priority::kBatch;
-  fail(where + ": priority must be \"interactive\" or \"batch\", got \"" + s +
-       "\"");
-}
-
 JobSpec parse_job(const JsonValue& j, std::size_t index) {
   const std::string where = "jobs[" + std::to_string(index) + "]";
-  check_keys(j,
-             {"name", "model", "n", "w0", "t_end", "eps", "eta", "seed",
-              "boards", "boards_min", "boards_max", "priority",
-              "deadline_rounds", "chaos_fail_quanta"},
-             where);
-  if (j.find("name") == nullptr) fail(where + ": missing required key 'name'");
-
-  JobSpec spec;
-  spec.name = string_at(j, "name", where);
-  if (j.find("model")) spec.model = string_at(j, "model", where);
-  if (j.find("n")) spec.n = count_at(j, "n", where);
-  if (j.find("w0")) spec.w0 = number_at(j, "w0", where);
-  if (j.find("t_end")) spec.t_end = number_at(j, "t_end", where);
-  if (j.find("eps")) spec.eps = number_at(j, "eps", where);
-  if (j.find("eta")) spec.eta = number_at(j, "eta", where);
-  if (j.find("seed")) spec.seed = count_at<unsigned>(j, "seed", where);
-  if (j.find("boards")) spec.boards = count_at(j, "boards", where);
-  if (j.find("boards_min")) spec.boards_min = count_at(j, "boards_min", where);
-  if (j.find("boards_max")) spec.boards_max = count_at(j, "boards_max", where);
-  if (j.find("priority")) {
-    spec.priority = parse_priority(string_at(j, "priority", where), where);
-  }
-  if (j.find("deadline_rounds")) {
-    spec.deadline_rounds = count_at<std::uint64_t>(j, "deadline_rounds", where);
-  }
-  if (j.find("chaos_fail_quanta")) {
-    spec.chaos_fail_quanta = count_at<int>(j, "chaos_fail_quanta", where);
-  }
-
+  JobSpec spec = read_job_spec(j, where, fail);
   const AdmissionDecision d = AdmissionController::validate_spec(spec);
   if (!d.admit) fail(where + " ('" + spec.name + "'): " + d.message);
   return spec;
 }
 
-std::vector<BoardDeath> parse_board_deaths(const JsonValue& arr) {
-  if (!arr.is_array()) fail("service.board_deaths must be an array");
-  std::vector<BoardDeath> deaths;
-  for (std::size_t i = 0; i < arr.items().size(); ++i) {
-    const std::string where = "service.board_deaths[" + std::to_string(i) + "]";
-    const JsonValue& d = arr.items()[i];
-    check_keys(d, {"round", "board"}, where);
-    if (d.find("round") == nullptr || d.find("board") == nullptr) {
-      fail(where + ": needs both 'round' and 'board'");
-    }
-    BoardDeath death;
-    death.round = count_at<std::uint64_t>(d, "round", where);
-    death.board = count_at(d, "board", where);
-    deaths.push_back(death);
-  }
-  return deaths;
-}
-
 ServiceConfig parse_service(const JsonValue& s) {
-  const std::string where = "service";
-  check_keys(s,
-             {"max_queue_depth", "quantum_blocksteps", "max_requeues",
-              "max_job_failures", "backoff_base_rounds", "boards_per_host",
-              "hosts_per_cluster", "clusters", "board_deaths"},
-             where);
+  const JsonObjectReader r(
+      s, "service", fail,
+      {"max_queue_depth", "quantum_blocksteps", "max_requeues",
+       "max_job_failures", "backoff_base_rounds", "boards_per_host",
+       "hosts_per_cluster", "clusters", "board_deaths"});
   ServiceConfig cfg;
-  if (s.find("max_queue_depth")) {
-    cfg.max_queue_depth = count_at(s, "max_queue_depth", where);
+  r.count("max_queue_depth", &cfg.max_queue_depth);
+  if (r.count("quantum_blocksteps", &cfg.quantum_blocksteps) &&
+      cfg.quantum_blocksteps < 1) {
+    fail("service.quantum_blocksteps must be >= 1");
   }
-  if (s.find("quantum_blocksteps")) {
-    cfg.quantum_blocksteps = count_at(s, "quantum_blocksteps", where);
-    if (cfg.quantum_blocksteps < 1) {
-      fail("service.quantum_blocksteps must be >= 1");
-    }
+  r.count("max_requeues", &cfg.max_requeues);
+  if (r.count("max_job_failures", &cfg.max_job_failures) &&
+      cfg.max_job_failures < 1) {
+    fail("service.max_job_failures must be >= 1");
   }
-  if (s.find("max_requeues")) {
-    cfg.max_requeues = count_at<int>(s, "max_requeues", where);
-  }
-  if (s.find("max_job_failures")) {
-    cfg.max_job_failures = count_at<int>(s, "max_job_failures", where);
-    if (cfg.max_job_failures < 1) fail("service.max_job_failures must be >= 1");
-  }
-  if (s.find("backoff_base_rounds")) {
-    cfg.backoff_base_rounds =
-        count_at<std::uint64_t>(s, "backoff_base_rounds", where);
-  }
-  if (s.find("boards_per_host")) {
-    cfg.machine.boards_per_host = count_at(s, "boards_per_host", where);
-  }
-  if (s.find("hosts_per_cluster")) {
-    cfg.machine.hosts_per_cluster = count_at(s, "hosts_per_cluster", where);
-  }
-  if (s.find("clusters")) {
-    cfg.machine.clusters = count_at(s, "clusters", where);
-  }
+  r.count("backoff_base_rounds", &cfg.backoff_base_rounds);
+  r.count("boards_per_host", &cfg.machine.boards_per_host);
+  r.count("hosts_per_cluster", &cfg.machine.hosts_per_cluster);
+  r.count("clusters", &cfg.machine.clusters);
   if (cfg.pool_boards() < 1) fail("service: machine has zero boards");
-  if (const JsonValue* deaths = s.find("board_deaths")) {
-    cfg.board_deaths = parse_board_deaths(*deaths);
-    for (const BoardDeath& d : cfg.board_deaths) {
-      if (d.board >= cfg.pool_boards()) {
-        fail("service.board_deaths: board " + std::to_string(d.board) +
-             " outside the " + std::to_string(cfg.pool_boards()) +
-             "-board machine");
-      }
+  if (!r.has("board_deaths")) return cfg;
+  const std::vector<JsonValue>& deaths = r.array("board_deaths");
+  for (std::size_t i = 0; i < deaths.size(); ++i) {
+    const JsonObjectReader d(
+        deaths[i], "service.board_deaths[" + std::to_string(i) + "]", fail,
+        {"round", "board"}, {"round", "board"});
+    const BoardDeath death{d.count<std::uint64_t>("round"),
+                           d.count<std::size_t>("board")};
+    if (death.board >= cfg.pool_boards()) {
+      fail("service.board_deaths: board " + std::to_string(death.board) +
+           " outside the " + std::to_string(cfg.pool_boards()) +
+           "-board machine");
     }
+    cfg.board_deaths.push_back(death);
   }
   return cfg;
 }
@@ -183,32 +75,27 @@ Manifest parse_manifest(const std::string& text) {
   } catch (const std::exception& e) {
     fail(std::string("manifest is not valid JSON: ") + e.what());
   }
-  check_keys(root, {"schema", "service", "jobs"}, "manifest");
-
-  const JsonValue* schema = root.find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->as_string() != kManifestSchema) {
+  const JsonObjectReader r(root, "manifest", fail,
+                           {"schema", "service", "jobs"}, {"schema"});
+  if (r.string("schema") != kManifestSchema) {
     fail(std::string("manifest: key 'schema' must be \"") + kManifestSchema +
          "\"");
   }
 
   Manifest m;
-  if (const JsonValue* service = root.find("service")) {
-    m.service = parse_service(*service);
-  }
+  if (r.has("service")) m.service = parse_service(r.at("service"));
 
   // "jobs" is optional: a service-only manifest describes the machine a
   // serving daemon (tools/grape6_served) fronts, with every job arriving
   // over the wire. A PRESENT but empty array is still an error — that is
   // a manifest that meant to list jobs and lost them.
-  const JsonValue* jobs = root.find("jobs");
-  if (jobs == nullptr) return m;
-  if (!jobs->is_array()) fail("manifest: key 'jobs' must be an array");
-  if (jobs->items().empty()) fail("manifest: 'jobs' is empty");
+  if (!r.has("jobs")) return m;
+  const std::vector<JsonValue>& jobs = r.array("jobs");
+  if (jobs.empty()) fail("manifest: 'jobs' is empty");
 
   std::set<std::string> names;
-  for (std::size_t i = 0; i < jobs->items().size(); ++i) {
-    JobSpec spec = parse_job(jobs->items()[i], i);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    JobSpec spec = parse_job(jobs[i], i);
     if (!names.insert(spec.name).second) {
       fail("jobs[" + std::to_string(i) + "]: duplicate job name '" +
            spec.name + "'");

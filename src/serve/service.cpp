@@ -1,9 +1,24 @@
 #include "serve/service.hpp"
 
+#include <sstream>
+
+#include "obs/json.hpp"
 #include "serve/scheduler.hpp"
 #include "util/check.hpp"
+#include "util/fileio.hpp"
 
 namespace g6::serve {
+
+namespace {
+
+void write_eq10(std::ostream& os, const obs::Eq10Accumulator& eq) {
+  os << "{\"host_s\":" << eq.host_s << ",\"dma_s\":" << eq.dma_s
+     << ",\"net_s\":" << eq.net_s << ",\"grape_s\":" << eq.grape_s
+     << ",\"total_s\":" << eq.total_s << ",\"steps\":" << eq.steps
+     << ",\"blocksteps\":" << eq.blocksteps << "}";
+}
+
+}  // namespace
 
 GrapeService::GrapeService(ServiceConfig cfg)
     : impl_(std::make_unique<Scheduler>(std::move(cfg))) {
@@ -67,6 +82,65 @@ JobState ServeClient::state(JobId id) const { return service_->state(id); }
 
 const ParticleSet& ServeClient::final_state(JobId id, double* t) const {
   return service_->final_state(id, t);
+}
+
+void write_service_report(
+    const std::string& path, const GrapeService& service,
+    const std::vector<std::pair<JobId, std::string>>& snapshots) {
+  std::ostringstream os;
+  os.precision(17);
+
+  const ServiceStats& st = service.stats();
+  os << "{\n  \"schema\": \"grape6-serve-report-v1\",\n  \"service\": {"
+     << "\"boards\": " << service.config().pool_boards()
+     << ", \"healthy_boards\": " << service.healthy_boards()
+     << ", \"rounds\": " << st.rounds << ", \"submitted\": " << st.submitted
+     << ", \"rejected\": " << st.rejected
+     << ", \"completed\": " << st.completed << ", \"failed\": " << st.failed
+     << ", \"quarantined\": " << st.quarantined
+     << ", \"preemptions\": " << st.preemptions
+     << ", \"revocations\": " << st.revocations
+     << ", \"requeues\": " << st.requeues
+     << ", \"resizes\": " << st.resizes
+     << ", \"boards_dead\": " << st.boards_dead
+     << ", \"makespan_s\": " << st.makespan_s << ", \"eq10\": ";
+  write_eq10(os, st.eq10);
+  os << "},\n  \"jobs\": [\n";
+
+  const std::vector<JobId> ids = service.jobs();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const JobReport r = service.report(ids[i]);
+    std::string snap;
+    for (const auto& [id, file] : snapshots) {
+      if (id == r.id) snap = file;
+    }
+    os << "    {\"id\": " << r.id << ", \"name\": \""
+       << obs::json_escape(r.name) << "\", \"priority\": \""
+       << priority_name(r.priority) << "\", \"state\": \""
+       << job_state_name(r.state) << "\", \"reject_reason\": \""
+       << reject_reason_name(r.reject_reason) << "\", \"message\": \""
+       << obs::json_escape(r.message) << "\",\n     \"n\": " << r.n
+       << ", \"boards\": " << r.boards << ", \"boards_now\": " << r.boards_now
+       << ", \"resizes\": " << r.resizes << ", \"t_end\": " << r.t_end
+       << ", \"t_reached\": " << r.t_reached << ", \"steps\": " << r.steps
+       << ", \"blocksteps\": " << r.blocksteps
+       << ", \"quanta\": " << r.quanta
+       << ", \"preemptions\": " << r.preemptions
+       << ", \"revocations\": " << r.revocations
+       << ", \"requeues\": " << r.requeues
+       << ", \"failures\": " << r.failures
+       << ",\n     \"wait_s\": " << r.wait_s << ", \"run_s\": " << r.run_s
+       << ", \"grape_virtual_s\": " << r.grape_virtual_s
+       << ", \"e0\": " << r.e0 << ", \"e_final\": " << r.e_final
+       << ", \"energy_error\": " << r.energy_error()
+       << ",\n     \"snapshot\": \"" << obs::json_escape(snap)
+       << "\", \"eq10\": ";
+    write_eq10(os, r.eq10);
+    os << "}" << (i + 1 < ids.size() ? "," : "") << "\n";
+  }
+  os << "  ]\n}\n";
+  const std::string body = os.str();
+  write_file_atomic(path, [&body](std::ostream& f) { f << body; });
 }
 
 }  // namespace g6::serve

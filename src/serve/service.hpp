@@ -21,6 +21,8 @@
 
 #include <cstddef>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "nbody/particle.hpp"
@@ -98,5 +100,13 @@ class GrapeService {
 
   std::unique_ptr<Scheduler> impl_;
 };
+
+/// Write the grape6-serve-report-v1 file (service counters, then one
+/// object per job with its snapshot file from `snapshots`, if any) that
+/// grape6_serve and grape6_served both emit, so a remote run's report
+/// diffs cleanly against a local one.
+void write_service_report(
+    const std::string& path, const GrapeService& service,
+    const std::vector<std::pair<JobId, std::string>>& snapshots);
 
 }  // namespace g6::serve

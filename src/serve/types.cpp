@@ -1,6 +1,9 @@
 #include "serve/types.hpp"
 
 #include <cmath>
+#include <ostream>
+#include <string_view>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -54,6 +57,64 @@ const char* reject_reason_name(RejectReason r) {
       return "quarantined";
   }
   return "?";
+}
+
+void write_job_spec(std::ostream& os, const JobSpec& s) {
+  os << "{\"name\":\"" << obs::json_escape(s.name) << "\",\"model\":\""
+     << obs::json_escape(s.model) << "\",\"n\":" << s.n
+     << ",\"w0\":" << obs::json_number(s.w0)
+     << ",\"t_end\":" << obs::json_number(s.t_end)
+     << ",\"eps\":" << obs::json_number(s.eps)
+     << ",\"eta\":" << obs::json_number(s.eta) << ",\"seed\":" << s.seed
+     << ",\"boards\":" << s.boards << ",\"boards_min\":" << s.boards_min
+     << ",\"boards_max\":" << s.boards_max << ",\"priority\":\""
+     << priority_name(s.priority)
+     << "\",\"deadline_rounds\":" << s.deadline_rounds
+     << ",\"chaos_fail_quanta\":" << s.chaos_fail_quanta << "}";
+}
+
+JobSpec read_job_spec(const obs::JsonValue& j, const std::string& where,
+                      obs::JsonFail fail, bool every_key) {
+  static const std::vector<std::string_view> kKeys = {
+      "name",       "model",      "n",        "w0",
+      "t_end",      "eps",        "eta",      "seed",
+      "boards",     "boards_min", "boards_max", "priority",
+      "deadline_rounds", "chaos_fail_quanta"};
+  static const std::vector<std::string_view> kName = {"name"};
+  const obs::JsonObjectReader r(j, where, fail, kKeys,
+                                every_key ? kKeys : kName);
+  JobSpec s;
+  s.name = r.string("name");
+  r.string("model", &s.model);
+  r.count("n", &s.n);
+  r.number("w0", &s.w0);
+  r.number("t_end", &s.t_end);
+  r.number("eps", &s.eps);
+  r.number("eta", &s.eta);
+  r.count("seed", &s.seed);
+  r.count("boards", &s.boards);
+  r.count("boards_min", &s.boards_min);
+  r.count("boards_max", &s.boards_max);
+  if (r.has("priority")) {
+    const std::string& p = r.string("priority");
+    if (p == "interactive") {
+      s.priority = Priority::kInteractive;
+    } else if (p == "batch") {
+      s.priority = Priority::kBatch;
+    } else {
+      r.fail("priority must be \"interactive\" or \"batch\", got \"" + p +
+             "\"");
+    }
+  }
+  r.count("deadline_rounds", &s.deadline_rounds);
+  // Tenants (manifest, wire) may not ask for negative chaos; the journal
+  // replays whatever an in-process submit put in the int.
+  if (every_key) {
+    r.integer("chaos_fail_quanta", &s.chaos_fail_quanta);
+  } else {
+    r.count("chaos_fail_quanta", &s.chaos_fail_quanta);
+  }
+  return s;
 }
 
 double JobReport::energy_error() const {

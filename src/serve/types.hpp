@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "grape/config.hpp"
 #include "nbody/particle.hpp"
 #include "obs/eq10.hpp"
+#include "obs/json.hpp"
 
 namespace g6::serve {
 
@@ -118,6 +120,20 @@ struct JobSpec {
   /// rebuilds) so quarantine tests replay identically. 0 = healthy job.
   int chaos_fail_quanta = 0;
 };
+
+/// Write `spec` as the one JSON job object every codec shares: a manifest
+/// job entry, a journal `submitted` record's spec and a wire `submit`.
+/// The 14 keys in a fixed order, doubles at 17 digits.
+void write_job_spec(std::ostream& os, const JobSpec& spec);
+
+/// Read a job object. A key outside the 14 fails, and so does a missing
+/// `name` — or, with `every_key` (the journal, which replays exactly what
+/// it wrote), any missing key; absent keys keep JobSpec's defaults. Only
+/// types and ranges are checked: whether the spec can run is admission's
+/// call (AdmissionController::validate_spec). Failures go through `fail`
+/// with messages that start with `where`.
+JobSpec read_job_spec(const obs::JsonValue& j, const std::string& where,
+                      obs::JsonFail fail, bool every_key = false);
 
 /// Outcome of ServeClient::submit.
 struct SubmitResult {

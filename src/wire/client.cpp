@@ -9,22 +9,9 @@ namespace g6::wire {
 
 namespace {
 
-std::uint64_t u64_at(const obs::JsonValue& j, const char* key) {
-  const obs::JsonValue* v = j.find(key);
-  if (v == nullptr || !v->is_number()) {
-    throw WireError(std::string("response missing numeric key '") + key +
-                    "'");
-  }
-  return static_cast<std::uint64_t>(v->as_number());
-}
-
-std::string string_at(const obs::JsonValue& j, const char* key) {
-  const obs::JsonValue* v = j.find(key);
-  if (v == nullptr || !v->is_string()) {
-    throw WireError(std::string("response missing string key '") + key +
-                    "'");
-  }
-  return v->as_string();
+/// The response body of `doc`, read strictly.
+obs::JsonObjectReader response(const obs::JsonValue& doc) {
+  return obs::JsonObjectReader(doc, "response", throw_wire_error);
 }
 
 }  // namespace
@@ -34,13 +21,11 @@ RemoteClient::RemoteClient(const std::string& endpoint)
   G6_REQUIRE(sock_.valid());
 }
 
-std::optional<obs::JsonValue> RemoteClient::read_envelope() {
+std::optional<Envelope> RemoteClient::read_envelope() {
   std::string payload;
   while (true) {
     const FrameDecoder::Status st = decoder_.next(&payload);
-    if (st == FrameDecoder::Status::kFrame) {
-      return obs::JsonValue::parse(payload);
-    }
+    if (st == FrameDecoder::Status::kFrame) return parse_envelope(payload);
     if (st == FrameDecoder::Status::kError) {
       throw WireError("server sent a bad frame: " + decoder_.error());
     }
@@ -73,30 +58,27 @@ obs::JsonValue RemoteClient::request(const std::string& method,
                     "': " + e.what());
   }
   while (true) {
-    std::optional<obs::JsonValue> doc = read_envelope();
-    if (!doc) {
+    std::optional<Envelope> env = read_envelope();
+    if (!env) {
       throw WireError("server closed before responding to '" + method + "'");
     }
-    const std::string kind = string_at(*doc, "kind");
-    if (kind == "event") {
+    if (env->kind == "event") {
       // Unsolicited push racing our response: keep it for next_event().
-      inbox_.push_back({string_at(*doc, "event"), std::move(*doc)});
+      inbox_.push_back({env->event, std::move(env->root)});
       continue;
     }
-    if (kind != "response") {
-      throw WireError("unexpected '" + kind + "' envelope from server");
+    if (env->kind != "response") {
+      throw WireError("unexpected '" + env->kind + "' envelope from server");
     }
-    if (u64_at(*doc, "id") != id) {
+    if (env->id != id) {
       throw WireError("response id mismatch (single in-flight request "
                       "protocol violated)");
     }
-    const obs::JsonValue* ok = doc->find("ok");
-    if (ok == nullptr) throw WireError("response missing key 'ok'");
-    if (!ok->as_bool()) {
-      throw WireError("server rejected '" + method +
-                      "': " + string_at(*doc, "error"));
+    const obs::JsonObjectReader r = response(env->root);
+    if (!r.boolean("ok")) {
+      throw WireError("server rejected '" + method + "': " + r.string("error"));
     }
-    return std::move(*doc);
+    return std::move(env->root);
   }
 }
 
@@ -107,13 +89,12 @@ serve::SubmitResult RemoteClient::submit(const serve::JobSpec& spec) {
   os << ",\"spec\":";
   encode_job_spec(os, spec);
   const obs::JsonValue doc = request("submit", os.str());
+  const obs::JsonObjectReader body = response(doc);
   serve::SubmitResult r;
-  r.id = static_cast<serve::JobId>(u64_at(doc, "job"));
-  const obs::JsonValue* accepted = doc.find("accepted");
-  if (accepted == nullptr) throw WireError("submit: missing 'accepted'");
-  r.accepted = accepted->as_bool();
-  last_reason_ = string_at(doc, "reason");
-  r.message = string_at(doc, "message");
+  r.id = body.count<serve::JobId>("job");
+  r.accepted = body.boolean("accepted");
+  last_reason_ = body.string("reason");
+  r.message = body.string("message");
   // The enum name survives the wire as text; keep the enum itself
   // coarse (accepted vs not) and let callers read last_reject_reason()
   // for the precise cause.
@@ -142,14 +123,13 @@ std::optional<WireEvent> RemoteClient::next_event(bool wait) {
     inbox_.clear();
     inbox_pos_ = 0;
     if (!wait) return std::nullopt;
-    std::optional<obs::JsonValue> doc = read_envelope();
-    if (!doc) return std::nullopt;  // server is done streaming
-    const std::string kind = string_at(*doc, "kind");
-    if (kind != "event") {
-      throw WireError("unsolicited '" + kind + "' envelope while waiting "
+    std::optional<Envelope> env = read_envelope();
+    if (!env) return std::nullopt;  // server is done streaming
+    if (env->kind != "event") {
+      throw WireError("unsolicited '" + env->kind + "' envelope while waiting "
                       "for events");
     }
-    inbox_.push_back({string_at(*doc, "event"), std::move(*doc)});
+    inbox_.push_back({env->event, std::move(env->root)});
   }
   WireEvent ev = std::move(inbox_[inbox_pos_]);
   ++inbox_pos_;
@@ -163,29 +143,24 @@ std::optional<WireEvent> RemoteClient::next_event(bool wait) {
 obs::JsonValue RemoteClient::report_json(serve::JobId id) {
   const obs::JsonValue doc =
       request("report", ",\"job\":" + std::to_string(id));
-  const obs::JsonValue* rep = doc.find("report");
-  if (rep == nullptr) throw WireError("report: missing 'report'");
-  return *rep;
+  return response(doc).at("report");
 }
 
 std::string RemoteClient::state_name(serve::JobId id) {
-  return string_at(request("state", ",\"job\":" + std::to_string(id)),
-                   "state");
+  const obs::JsonValue doc =
+      request("state", ",\"job\":" + std::to_string(id));
+  return response(doc).string("state");
 }
 
 ParticleSet RemoteClient::final_state(serve::JobId id, double* t) {
   const obs::JsonValue doc =
       request("final", ",\"job\":" + std::to_string(id));
-  const obs::JsonValue* snap = doc.find("snapshot");
-  if (snap == nullptr) throw WireError("final: missing 'snapshot'");
-  return decode_snapshot(*snap, t);
+  return decode_snapshot(response(doc).at("snapshot"), t);
 }
 
 obs::JsonValue RemoteClient::stats_json() {
   const obs::JsonValue doc = request("stats", "");
-  const obs::JsonValue* st = doc.find("stats");
-  if (st == nullptr) throw WireError("stats: missing 'stats'");
-  return *st;
+  return response(doc).at("stats");
 }
 
 void RemoteClient::drain() { request("drain", ""); }

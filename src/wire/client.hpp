@@ -22,6 +22,7 @@
 #include "nbody/particle.hpp"
 #include "obs/json.hpp"
 #include "serve/types.hpp"
+#include "wire/envelope.hpp"
 #include "wire/framing.hpp"
 #include "wire/socket.hpp"
 
@@ -81,8 +82,8 @@ class RemoteClient {
   /// ok:false, returns the response document otherwise.
   obs::JsonValue request(const std::string& method,
                          const std::string& extra_json);
-  /// Read + decode one frame into an envelope; nullopt on orderly EOF.
-  std::optional<obs::JsonValue> read_envelope();
+  /// Read + parse one frame into an envelope; nullopt on orderly EOF.
+  std::optional<Envelope> read_envelope();
 
   Socket sock_;
   FrameDecoder decoder_;

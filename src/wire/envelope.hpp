@@ -42,6 +42,9 @@ class WireError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Throw WireError(what): the JsonFail of every wire-side JSON reader.
+[[noreturn]] void throw_wire_error(const std::string& what);
+
 /// One parsed envelope. `root` keeps the full document so method
 /// handlers can reach their payload keys.
 struct Envelope {
@@ -56,12 +59,12 @@ struct Envelope {
 /// (bad JSON, wrong schema, unknown kind, missing id/method/event).
 Envelope parse_envelope(std::string_view text);
 
-/// Write `spec` as a manifest-shaped JSON job object (17-digit doubles).
+/// serve::write_job_spec: the manifest-shaped job object.
 void encode_job_spec(std::ostream& os, const serve::JobSpec& spec);
 
-/// Parse a manifest-shaped job object. Strict keys (unknown keys throw);
-/// value-level validation (n >= 2, ...) is admission's job — an invalid
-/// spec travels to the server and comes back as an explicit
+/// serve::read_job_spec with WireError and the "spec" prefix. Strict
+/// keys; value-level validation (n >= 2, ...) is admission's job — an
+/// invalid spec travels to the server and comes back as an explicit
 /// kInvalidSpec rejection, same as a local submit.
 serve::JobSpec decode_job_spec(const obs::JsonValue& j);
 

@@ -19,24 +19,18 @@ namespace g6::wire {
 
 namespace {
 
-using obs::JsonValue;
+using obs::JsonObjectReader;
 using obs::json_escape;
+using obs::json_number;
 
 obs::MetricsRegistry& reg() { return obs::MetricsRegistry::global(); }
-
-std::string num(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
-}
 
 void write_envelope_head(std::ostream& os, const char* kind) {
   os << "{\"schema\":\"" << kWireSchema << "\",\"kind\":\"" << kind << "\"";
 }
 
-/// The same per-job key set grape6_serve's report file uses, so a remote
-/// report is field-for-field the local one.
+/// The same per-job key set as serve::write_service_report's file, so a
+/// remote report is field-for-field the local one.
 void write_job_report(std::ostream& os, const serve::JobReport& r) {
   os << "{\"id\":" << r.id << ",\"name\":\"" << json_escape(r.name)
      << "\",\"priority\":\"" << serve::priority_name(r.priority)
@@ -44,16 +38,18 @@ void write_job_report(std::ostream& os, const serve::JobReport& r) {
      << "\",\"reject_reason\":\"" << serve::reject_reason_name(r.reject_reason)
      << "\",\"message\":\"" << json_escape(r.message) << "\",\"n\":" << r.n
      << ",\"boards\":" << r.boards << ",\"boards_now\":" << r.boards_now
-     << ",\"resizes\":" << r.resizes << ",\"t_end\":" << num(r.t_end)
-     << ",\"t_reached\":" << num(r.t_reached) << ",\"steps\":" << r.steps
-     << ",\"blocksteps\":" << r.blocksteps << ",\"quanta\":" << r.quanta
-     << ",\"preemptions\":" << r.preemptions
+     << ",\"resizes\":" << r.resizes << ",\"t_end\":" << json_number(r.t_end)
+     << ",\"t_reached\":" << json_number(r.t_reached)
+     << ",\"steps\":" << r.steps << ",\"blocksteps\":" << r.blocksteps
+     << ",\"quanta\":" << r.quanta << ",\"preemptions\":" << r.preemptions
      << ",\"revocations\":" << r.revocations << ",\"requeues\":" << r.requeues
-     << ",\"failures\":" << r.failures << ",\"wait_s\":" << num(r.wait_s)
-     << ",\"run_s\":" << num(r.run_s)
-     << ",\"grape_virtual_s\":" << num(r.grape_virtual_s)
-     << ",\"e0\":" << num(r.e0) << ",\"e_final\":" << num(r.e_final)
-     << ",\"energy_error\":" << num(r.energy_error()) << "}";
+     << ",\"failures\":" << r.failures
+     << ",\"wait_s\":" << json_number(r.wait_s)
+     << ",\"run_s\":" << json_number(r.run_s)
+     << ",\"grape_virtual_s\":" << json_number(r.grape_virtual_s)
+     << ",\"e0\":" << json_number(r.e0)
+     << ",\"e_final\":" << json_number(r.e_final)
+     << ",\"energy_error\":" << json_number(r.energy_error()) << "}";
 }
 
 }  // namespace
@@ -152,7 +148,8 @@ struct WireServer::Impl {
            << json_escape(rep.name) << "\",\"state\":\""
            << serve::job_state_name(rep.state)
            << "\",\"quanta\":" << rep.quanta
-           << ",\"t\":" << num(rep.t_reached) << ",\"steps\":" << rep.steps
+           << ",\"t\":" << json_number(rep.t_reached)
+           << ",\"steps\":" << rep.steps
            << ",\"blocksteps\":" << rep.blocksteps
            << ",\"boards\":" << rep.boards_now
            << ",\"resizes\":" << rep.resizes << "}";
@@ -195,14 +192,6 @@ struct WireServer::Impl {
 
   // ---- request handling --------------------------------------------------
 
-  void respond_error(Conn& c, std::uint64_t id, const std::string& message) {
-    std::ostringstream os;
-    write_envelope_head(os, "response");
-    os << ",\"id\":" << id << ",\"ok\":false,\"error\":\""
-       << json_escape(message) << "\"}";
-    enqueue(c, os.str());
-  }
-
   void handle_request(Conn& c, const Envelope& env) {
     ++stats.requests;
     reg().counter("wire.requests").add();
@@ -211,15 +200,14 @@ struct WireServer::Impl {
     write_envelope_head(os, "response");
     os << ",\"id\":" << env.id << ",\"ok\":true";
 
+    // Every key of the request body is type- and range-checked here. A
+    // bad one, like an unknown job or method, throws WireError, which
+    // drain_frames answers with ok:false.
+    const JsonObjectReader req(env.root, env.method, throw_wire_error);
     if (env.method == "ping") {
       os << ",\"pong\":true}";
     } else if (env.method == "submit") {
-      const JsonValue* spec_v = env.root.find("spec");
-      if (spec_v == nullptr) {
-        respond_error(c, env.id, "submit: missing key 'spec'");
-        return;
-      }
-      const serve::JobSpec spec = decode_job_spec(*spec_v);
+      const serve::JobSpec spec = decode_job_spec(req.at("spec"));
       const serve::SubmitResult r = service.submit(spec);
       // Backpressure travels verbatim: the reject reason name and
       // message a local ServeClient would see ARE the wire payload.
@@ -230,17 +218,10 @@ struct WireServer::Impl {
       if (r.accepted) c.submitted.push_back(r.id);
     } else if (env.method == "report" || env.method == "state" ||
                env.method == "final") {
-      const JsonValue* job_v = env.root.find("job");
-      if (job_v == nullptr || !job_v->is_number()) {
-        respond_error(c, env.id, env.method + ": missing numeric key 'job'");
-        return;
-      }
-      const auto job = static_cast<serve::JobId>(job_v->as_number());
+      const auto job = req.count<serve::JobId>("job");
       const std::vector<serve::JobId> ids = service.jobs();
       if (job < 1 || job > ids.size()) {
-        respond_error(c, env.id,
-                      env.method + ": unknown job " + std::to_string(job));
-        return;
+        req.fail("unknown job " + std::to_string(job));
       }
       if (env.method == "report") {
         os << ",\"report\":";
@@ -251,10 +232,7 @@ struct WireServer::Impl {
            << "\"}";
       } else {
         if (service.state(job) != serve::JobState::kCompleted) {
-          respond_error(c, env.id,
-                        "final: job " + std::to_string(job) +
-                            " has not completed");
-          return;
+          req.fail("job " + std::to_string(job) + " has not completed");
         }
         double t = 0.0;
         const ParticleSet& set = service.final_state(job, &t);
@@ -263,11 +241,13 @@ struct WireServer::Impl {
         os << "}";
       }
     } else if (env.method == "subscribe") {
+      bool snapshots = false;
+      bool all = false;
+      req.boolean("snapshots", &snapshots);
+      req.boolean("all", &all);
       c.subscribed = true;
-      const JsonValue* snaps = env.root.find("snapshots");
-      c.want_snapshots = snaps != nullptr && snaps->as_bool();
-      const JsonValue* all = env.root.find("all");
-      c.all_jobs = all != nullptr && all->as_bool();
+      c.want_snapshots = snapshots;
+      c.all_jobs = all;
       update_subscriber_gauge();
       os << ",\"subscribed\":true}";
     } else if (env.method == "stats") {
@@ -287,8 +267,7 @@ struct WireServer::Impl {
       drain_requested = true;
       os << ",\"draining\":true}";
     } else {
-      respond_error(c, env.id, "unknown method '" + env.method + "'");
-      return;
+      throw_wire_error("unknown method '" + env.method + "'");
     }
     enqueue(c, os.str());
     reg()
@@ -343,7 +322,11 @@ struct WireServer::Impl {
         // The envelope was sound but the payload was not (bad spec
         // keys, wrong value types): the peer speaks the protocol, so
         // answer ok:false and keep the connection.
-        respond_error(c, env.id, e.what());
+        std::ostringstream os;
+        write_envelope_head(os, "response");
+        os << ",\"id\":" << env.id << ",\"ok\":false,\"error\":\""
+           << json_escape(e.what()) << "\"}";
+        enqueue(c, os.str());
       }
     }
   }

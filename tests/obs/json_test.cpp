@@ -6,6 +6,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 namespace g6::obs {
 namespace {
@@ -94,6 +95,105 @@ TEST(JsonInteger, AcceptsExactlyTheValuesOfTheType) {
             std::nullopt);
   EXPECT_EQ(json_integer<int>(std::numeric_limits<double>::quiet_NaN()),
             std::nullopt);
+}
+
+TEST(JsonNumber, SeventeenDigitsRoundTripBinary64) {
+  EXPECT_EQ(json_number(0.1 + 0.2), "0.30000000000000004");
+  EXPECT_EQ(json_number(0.25), "0.25");
+  EXPECT_EQ(json_number(-0.0), "-0");
+  EXPECT_EQ(json_number(1e300), "1.0000000000000001e+300");
+  for (const double d : {1.0 / 3.0, -2.5e-308, 6.02214076e23, 4.9e-324}) {
+    EXPECT_EQ(JsonValue::parse(json_number(d)).as_number(), d);
+  }
+}
+
+/// The reader's error sink in these tests: a distinct type, so a test
+/// sees that every failure went through it.
+struct ReaderError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+[[noreturn]] void reader_fail(const std::string& what) {
+  throw ReaderError(what);
+}
+
+/// The message `read` fails with ("" when it does not fail).
+template <typename Read>
+std::string failure(Read read) {
+  try {
+    read();
+  } catch (const ReaderError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(JsonObjectReader, ClosedObjectChecksAllowedAndRequiredKeys) {
+  const JsonValue doc = JsonValue::parse(R"({"a": 1, "b": "x"})");
+  EXPECT_EQ(failure([&] { JsonObjectReader(doc, "obj", reader_fail, {"a"}); }),
+            "obj: unknown key 'b'");
+  EXPECT_EQ(failure([&] {
+              JsonObjectReader(doc, "obj", reader_fail, {"a", "b", "c"},
+                               {"a", "c"});
+            }),
+            "obj: missing required key 'c'");
+  EXPECT_EQ(failure([&] {
+              JsonObjectReader(JsonValue::parse("[1]"), "obj", reader_fail);
+            }),
+            "obj must be a JSON object");
+  // An open object takes any key.
+  EXPECT_EQ(failure([&] { JsonObjectReader(doc, "obj", reader_fail); }), "");
+}
+
+TEST(JsonObjectReader, GettersCheckTypeAndNameTheKey) {
+  const JsonValue doc = JsonValue::parse(
+      R"({"n": 2, "s": "txt", "b": true, "arr": [1], "neg": -3, "frac": 1.5,
+          "big": 1e30})");
+  const JsonObjectReader r(doc, "obj", reader_fail);
+  EXPECT_EQ(r.number("n"), 2.0);
+  EXPECT_EQ(r.string("s"), "txt");
+  EXPECT_TRUE(r.boolean("b"));
+  EXPECT_EQ(r.array("arr").size(), 1u);
+  EXPECT_EQ(r.integer<int>("neg"), -3);
+  EXPECT_EQ(r.count<unsigned>("n"), 2u);
+
+  EXPECT_EQ(failure([&] { r.number("s"); }), "obj: key 's' must be a number");
+  EXPECT_EQ(failure([&] { r.string("n"); }), "obj: key 'n' must be a string");
+  EXPECT_EQ(failure([&] { r.boolean("n"); }),
+            "obj: key 'n' must be true or false");
+  EXPECT_EQ(failure([&] { r.array("s"); }), "obj: key 's' must be an array");
+  EXPECT_EQ(failure([&] { r.number("zz"); }),
+            "obj: missing required key 'zz'");
+  EXPECT_EQ(failure([&] { r.integer<int>("frac"); }),
+            "obj: key 'frac' must be an integer in [-2147483648, 2147483647]");
+  EXPECT_EQ(failure([&] { r.count<int>("neg"); }),
+            "obj: key 'neg' must be a non-negative integer (at most "
+            "2147483647)");
+  EXPECT_NE(failure([&] { r.count<std::uint64_t>("big"); }), "");
+  EXPECT_EQ(failure([&] { r.fail("custom"); }), "obj: custom");
+}
+
+TEST(JsonObjectReader, OutFormsAssignOnlyWhenPresent) {
+  const JsonValue doc = JsonValue::parse(R"({"n": 7, "s": "v", "b": false})");
+  const JsonObjectReader r(doc, "obj", reader_fail);
+  double d = -1.0;
+  std::string str = "keep";
+  bool b = true;
+  unsigned u = 9;
+  int i = 4;
+  EXPECT_TRUE(r.number("n", &d));
+  EXPECT_TRUE(r.string("s", &str));
+  EXPECT_TRUE(r.boolean("b", &b));
+  EXPECT_TRUE(r.count("n", &u));
+  EXPECT_FALSE(r.integer("absent", &i));
+  EXPECT_FALSE(r.string("absent", &str));
+  EXPECT_EQ(d, 7.0);
+  EXPECT_EQ(str, "v");
+  EXPECT_FALSE(b);
+  EXPECT_EQ(u, 7u);
+  EXPECT_EQ(i, 4);
+  // A present key of the wrong type still fails.
+  EXPECT_EQ(failure([&] { r.boolean("n", &b); }),
+            "obj: key 'n' must be true or false");
 }
 
 }  // namespace

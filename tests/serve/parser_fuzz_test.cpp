@@ -1,6 +1,7 @@
 // Seeded parser fuzz: byte flips, truncations and splices of one valid
 // input per parser — the journal (line decoder and whole-file replay),
-// the manifest, the checkpoint and the fault plan. Whatever the bytes,
+// the manifest, the checkpoint, the fault plan and a wire submit
+// envelope. Whatever the bytes,
 // a parser either returns or throws its own error type; nothing else may
 // escape. The same loop shape as the wire framing fuzz (fixed seeds,
 // bounded counts); ASan/UBSan turn any out-of-bounds read or bad cast on
@@ -27,6 +28,7 @@
 #include "serve/manifest.hpp"
 #include "util/errors.hpp"
 #include "util/rng.hpp"
+#include "wire/envelope.hpp"
 
 namespace g6::serve {
 namespace {
@@ -282,6 +284,34 @@ TEST(ServeParserFuzz, FaultPlan) {
     fault::FaultPlan::from_file(path.string());
   });
   fs::remove(path);
+}
+
+TEST(ServeParserFuzz, WireSubmitEnvelope) {
+  // What a socket client sends: the envelope parser, then the shared
+  // job-spec decoder on its "spec" body. Only WireError may escape —
+  // anything else would take the daemon down for every tenant.
+  JobSpec spec;
+  spec.name = "fuzz";
+  spec.boards_min = 1;
+  spec.boards_max = 2;
+  spec.deadline_rounds = 9;
+  spec.chaos_fail_quanta = 1;
+  std::ostringstream os;
+  os << R"({"schema":"grape6-wire-v1","kind":"request","id":7,)"
+     << R"("method":"submit","spec":)";
+  wire::encode_job_spec(os, spec);
+  os << "}";
+  const int parsed = fuzz<wire::WireError>(
+      os.str(), 6502, 3000, [](const std::string& s) {
+        // Frames never carry empty payloads (the decoder refuses a zero
+        // length), so an empty envelope is not an input the server sees.
+        if (s.empty()) return;
+        const wire::Envelope env = wire::parse_envelope(s);
+        if (const obs::JsonValue* body = env.root.find("spec")) {
+          wire::decode_job_spec(*body);
+        }
+      });
+  EXPECT_GT(parsed, 0);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "serve/serve.hpp"
 #include "wire/wire.hpp"
@@ -330,6 +331,105 @@ TEST_F(WireServerTest, UnknownMethodAnswersOkFalseAndConnectionLives) {
   raw.send_all(encode_frame(request_json(3, "drain")));
   EXPECT_FALSE(read_frame_blocking(raw, dec).empty());
   join_drained();
+}
+
+TEST_F(WireServerTest, BadRequestKeyAnswersOkFalseAndConnectionLives) {
+  // A sound envelope whose body key has the wrong type or range costs
+  // only that request: ok:false naming the key, then the same socket
+  // (and the daemon behind it) keeps serving.
+  struct Case {
+    const char* body;  ///< request keys after "method"
+    const char* key;   ///< named in the error
+  };
+  const Case cases[] = {
+      {R"("method":"subscribe","snapshots":1)", "snapshots"},
+      {R"("method":"subscribe","all":"yes")", "all"},
+      {R"("method":"subscribe","snapshots":null)", "snapshots"},
+      {R"("method":"report","job":-1)", "job"},
+      {R"("method":"report","job":1.5)", "job"},
+      {R"("method":"state","job":1e30)", "job"},
+      {R"("method":"final","job":"1")", "job"},
+      {R"("method":"report")", "job"},
+      {R"("method":"submit")", "spec"},
+      {R"("method":"submit","spec":{"name":"x","seed":-1})", "seed"},
+      {R"("method":"submit","spec":{"name":"x","boards":true})", "boards"},
+  };
+  start();
+  Socket raw = connect_to(parse_endpoint(endpoint_));
+  FrameDecoder dec;
+  std::uint64_t id = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.body);
+    std::ostringstream os;
+    os << "{\"schema\":\"" << kWireSchema << "\",\"kind\":\"request\",\"id\":"
+       << ++id << "," << c.body << "}";
+    raw.send_all(encode_frame(os.str()));
+    const std::string payload = read_frame_blocking(raw, dec);
+    ASSERT_FALSE(payload.empty()) << "server hung up";
+    const Envelope resp = parse_envelope(payload);
+    EXPECT_EQ(resp.kind, "response");
+    EXPECT_EQ(resp.id, id);
+    ASSERT_NE(resp.root.find("ok"), nullptr);
+    EXPECT_FALSE(resp.root.find("ok")->as_bool());
+    const std::string error = str_at(resp.root, "error");
+    EXPECT_NE(error.find(std::string("'") + c.key + "'"), std::string::npos)
+        << error;
+
+    raw.send_all(encode_frame(request_json(++id, "ping")));
+    const Envelope pong = parse_envelope(read_frame_blocking(raw, dec));
+    EXPECT_EQ(pong.id, id);
+    ASSERT_NE(pong.root.find("ok"), nullptr);
+    EXPECT_TRUE(pong.root.find("ok")->as_bool());
+  }
+
+  raw.send_all(encode_frame(request_json(++id, "drain")));
+  EXPECT_FALSE(read_frame_blocking(raw, dec).empty());
+  join_drained();
+  EXPECT_EQ(service_->stats().submitted, 0u);
+}
+
+TEST(WireClientTest, OutOfRangeResponseValueIsAWireError) {
+  // A fake server answers every submit with a job id no JobId holds (or
+  // one that is not a number): the client must refuse it as WireError
+  // rather than cast it.
+  const std::string endpoint =
+      "unix:" + ::testing::TempDir() + "g6wire_fake_server.sock";
+  ListenSocket listener(parse_endpoint(endpoint));
+  RemoteClient client(endpoint);
+  std::optional<Socket> conn;
+  for (int tries = 0; !conn && tries < 100; ++tries) {
+    std::vector<PollItem> items{{listener.fd(), false, false, false, false}};
+    poll_fds(items, 100);
+    conn = listener.accept();
+  }
+  ASSERT_TRUE(conn.has_value());
+  conn->set_nonblocking(false);
+
+  const std::vector<std::string> bad_jobs = {"-1", "1.5", "1e30", "\"1\""};
+  std::thread fake([&conn, &bad_jobs] {
+    FrameDecoder dec;
+    for (const std::string& job : bad_jobs) {
+      const std::string request = read_frame_blocking(*conn, dec);
+      if (request.empty()) return;
+      std::ostringstream os;
+      os << "{\"schema\":\"" << kWireSchema
+         << "\",\"kind\":\"response\",\"id\":" << parse_envelope(request).id
+         << ",\"ok\":true,\"job\":" << job
+         << ",\"accepted\":true,\"reason\":\"none\",\"message\":\"\"}";
+      conn->send_all(encode_frame(os.str()));
+    }
+  });
+  for (const std::string& job : bad_jobs) {
+    SCOPED_TRACE(job);
+    try {
+      client.submit(quick_job("fake"));
+      ADD_FAILURE() << "accepted job id " << job;
+    } catch (const WireError& e) {
+      EXPECT_NE(std::string(e.what()).find("'job'"), std::string::npos)
+          << e.what();
+    }
+  }
+  fake.join();
 }
 
 TEST_F(WireServerTest, MalformedFramePoisonsOnlyItsConnection) {

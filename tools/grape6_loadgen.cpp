@@ -69,16 +69,6 @@ double percentile(std::vector<double> v, double p) {
   return v[lo] * (1.0 - frac) + v[hi] * frac;
 }
 
-double num_at(const obs::JsonValue& j, const char* key) {
-  const obs::JsonValue* v = j.find(key);
-  return v != nullptr && v->is_number() ? v->as_number() : 0.0;
-}
-
-std::string str_at(const obs::JsonValue& j, const char* key) {
-  const obs::JsonValue* v = j.find(key);
-  return v != nullptr && v->is_string() ? v->as_string() : std::string();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -169,8 +159,15 @@ int main(int argc, char** argv) try {
                    terminals_needed);
       return 1;
     }
-    const auto job =
-        static_cast<serve::JobId>(num_at(ev->root, "job"));
+    // Events are read as strictly as the server reads requests: a
+    // missing or mistyped key is a WireError, not a silent zero.
+    const obs::JsonObjectReader e(ev->root, "event", wire::throw_wire_error);
+    if (ev->event == "error") {
+      std::fprintf(stderr, "loadgen: server error event: %s\n",
+                   e.string("message").c_str());
+      return 1;
+    }
+    const auto job = e.count<serve::JobId>("job");
     if (ev->event == "progress") {
       ++progress[job];
     } else if (ev->event == "terminal") {
@@ -182,35 +179,25 @@ int main(int argc, char** argv) try {
         return 1;
       }
       if (pending.count(job) != 0) --terminals_needed;
-      const obs::JsonValue* rep = ev->root.find("report");
-      if (rep != nullptr) {
-        const std::string state = str_at(*rep, "state");
-        if (state == "completed") {
-          ++completed;
-          wait_s.push_back(num_at(*rep, "wait_s"));
-          run_s.push_back(num_at(*rep, "run_s"));
-        } else {
-          ++failed;
-          std::printf("loadgen: job %llu '%s' ended %s: %s\n",
-                      static_cast<unsigned long long>(job),
-                      str_at(*rep, "name").c_str(), state.c_str(),
-                      str_at(*rep, "message").c_str());
-        }
+      const obs::JsonObjectReader rep(e.at("report"), "report",
+                                      wire::throw_wire_error);
+      const std::string& state = rep.string("state");
+      if (state == "completed") {
+        ++completed;
+        wait_s.push_back(rep.number("wait_s"));
+        run_s.push_back(rep.number("run_s"));
+      } else {
+        ++failed;
+        std::printf("loadgen: job %llu '%s' ended %s: %s\n",
+                    static_cast<unsigned long long>(job),
+                    rep.string("name").c_str(), state.c_str(),
+                    rep.string("message").c_str());
       }
     } else if (ev->event == "snapshot" && !snapshots_out.empty()) {
-      const obs::JsonValue* snap = ev->root.find("snapshot");
-      if (snap != nullptr) {
-        double t = 0.0;
-        const ParticleSet set = wire::decode_snapshot(*snap, &t);
-        const std::string file =
-            snapshots_out + "_" + str_at(ev->root, "name") + ".snap";
-        save_snapshot(file, set, t);
-        ++snapshots_written;
-      }
-    } else if (ev->event == "error") {
-      std::fprintf(stderr, "loadgen: server error event: %s\n",
-                   str_at(ev->root, "message").c_str());
-      return 1;
+      double t = 0.0;
+      const ParticleSet set = wire::decode_snapshot(e.at("snapshot"), &t);
+      save_snapshot(snapshots_out + "_" + e.string("name") + ".snap", set, t);
+      ++snapshots_written;
     }
   }
   const double wall_s = obs::monotonic_seconds() - t0;

@@ -53,83 +53,14 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/grape6.hpp"
-#include "obs/json.hpp"
-#include "util/fileio.hpp"
 
 namespace {
 
 using namespace g6;
-
-void write_eq10(std::ostream& os, const obs::Eq10Accumulator& eq) {
-  os << "{\"host_s\":" << eq.host_s << ",\"dma_s\":" << eq.dma_s
-     << ",\"net_s\":" << eq.net_s << ",\"grape_s\":" << eq.grape_s
-     << ",\"total_s\":" << eq.total_s << ",\"steps\":" << eq.steps
-     << ",\"blocksteps\":" << eq.blocksteps << "}";
-}
-
-void write_report(const std::string& path, const serve::GrapeService& service,
-                  const std::vector<std::pair<serve::JobId, std::string>>&
-                      snapshots) {
-  std::ostringstream os;
-  os.precision(17);
-
-  const serve::ServiceStats& st = service.stats();
-  os << "{\n  \"schema\": \"grape6-serve-report-v1\",\n  \"service\": {"
-     << "\"boards\": " << service.config().pool_boards()
-     << ", \"healthy_boards\": " << service.healthy_boards()
-     << ", \"rounds\": " << st.rounds << ", \"submitted\": " << st.submitted
-     << ", \"rejected\": " << st.rejected
-     << ", \"completed\": " << st.completed << ", \"failed\": " << st.failed
-     << ", \"quarantined\": " << st.quarantined
-     << ", \"preemptions\": " << st.preemptions
-     << ", \"revocations\": " << st.revocations
-     << ", \"requeues\": " << st.requeues
-     << ", \"resizes\": " << st.resizes
-     << ", \"boards_dead\": " << st.boards_dead
-     << ", \"makespan_s\": " << st.makespan_s << ", \"eq10\": ";
-  write_eq10(os, st.eq10);
-  os << "},\n  \"jobs\": [\n";
-
-  const std::vector<serve::JobId> ids = service.jobs();
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const serve::JobReport r = service.report(ids[i]);
-    std::string snap;
-    for (const auto& [id, file] : snapshots) {
-      if (id == r.id) snap = file;
-    }
-    os << "    {\"id\": " << r.id << ", \"name\": \""
-       << obs::json_escape(r.name) << "\", \"priority\": \""
-       << serve::priority_name(r.priority) << "\", \"state\": \""
-       << serve::job_state_name(r.state) << "\", \"reject_reason\": \""
-       << serve::reject_reason_name(r.reject_reason) << "\", \"message\": \""
-       << obs::json_escape(r.message) << "\",\n     \"n\": " << r.n
-       << ", \"boards\": " << r.boards << ", \"boards_now\": " << r.boards_now
-       << ", \"resizes\": " << r.resizes << ", \"t_end\": " << r.t_end
-       << ", \"t_reached\": " << r.t_reached << ", \"steps\": " << r.steps
-       << ", \"blocksteps\": " << r.blocksteps
-       << ", \"quanta\": " << r.quanta
-       << ", \"preemptions\": " << r.preemptions
-       << ", \"revocations\": " << r.revocations
-       << ", \"requeues\": " << r.requeues
-       << ", \"failures\": " << r.failures
-       << ",\n     \"wait_s\": " << r.wait_s << ", \"run_s\": " << r.run_s
-       << ", \"grape_virtual_s\": " << r.grape_virtual_s
-       << ", \"e0\": " << r.e0 << ", \"e_final\": " << r.e_final
-       << ", \"energy_error\": " << r.energy_error()
-       << ",\n     \"snapshot\": \"" << obs::json_escape(snap)
-       << "\", \"eq10\": ";
-    write_eq10(os, r.eq10);
-    os << "}" << (i + 1 < ids.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-  const std::string body = os.str();
-  write_file_atomic(path, [&body](std::ostream& f) { f << body; });
-}
 
 void print_job_table(const serve::GrapeService& service) {
   std::printf("\n%-4s %-14s %-12s %-12s %6s %7s %7s %6s %6s %9s\n", "id",
@@ -301,7 +232,9 @@ int main(int argc, char** argv) try {
     std::printf("service: drained on SIGTERM; resume with --recover\n");
   }
 
-  if (!report_out.empty()) write_report(report_out, service, snapshot_files);
+  if (!report_out.empty()) {
+    serve::write_service_report(report_out, service, snapshot_files);
+  }
   obs::export_metrics_json(metrics_out, &st.eq10);
   obs::export_chrome_trace(trace_out);
   obs::export_timeseries_json(timeseries_out);
