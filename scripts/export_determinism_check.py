@@ -14,8 +14,8 @@ wall-clock leakage in anything structural. This script locks that in:
   2. g6report twice over the SAME metrics file: stdout must be
      byte-identical (cmp semantics) — a report that renders differently
      on a second read is iterating something unordered.
-  3. (with --serve) grape6_serve twice on a 3-job mixed-priority
-     manifest: the per-job attribution scopes and the per-round time
+  3. (with --served) grape6_served twice in-process on a 3-job
+     mixed-priority manifest: the per-job attribution scopes and the per-round time
      series must match between runs — scope key sets and counter values
      exactly (schedule-dependent counters exempt by value, never by
      presence), time-series instrument lists, row counts, ticks and
@@ -23,8 +23,9 @@ wall-clock leakage in anything structural. This script locks that in:
      flight recorder is deliberately NOT here: its ring interleaves
      worker-thread events, so the dump is schedule-dependent by design
      (docs/OBSERVABILITY.md documents the exemption).
-  4. (with --served + --loadgen) grape6_served twice on a unix socket,
-     each time driven by the same loadgen manifest over 2 connections:
+  4. (with --served + --loadgen) grape6_served twice as a daemon on a
+     unix socket, each time driven by the same loadgen manifest over 2
+     connections:
      the wire.* transport instruments must export with a stable key
      order, and every counter the *client* drives (connections, request
      frames and their bytes) must match exactly. The event stream back
@@ -38,10 +39,11 @@ Exits non-zero with a diff summary on any mismatch.
 
 import argparse
 import json
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from serve_check import run, serve_daemon, write_manifest
 
 # Counters whose value is a property of the OS thread schedule, not of
 # the computation: which idle worker steals a task depends on wake-up
@@ -220,29 +222,19 @@ SERVE_SERVICE = {
 }
 
 
-def run(cmd, **kw):
-    r = subprocess.run(cmd, capture_output=True, text=True, **kw)
-    if r.returncode != 0:
-        sys.exit(f"command failed ({r.returncode}): {' '.join(map(str, cmd))}\n"
-                 f"{r.stderr}")
-    return r
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--run", required=True, help="path to grape6_run")
     ap.add_argument("--report", required=True, help="path to g6report")
-    ap.add_argument("--serve", default=None,
-                    help="path to grape6_serve; adds the attribution-scope "
-                         "and time-series determinism checks")
     ap.add_argument("--served", default=None,
-                    help="path to grape6_served; with --loadgen, adds the "
-                         "wire.* transport determinism check")
+                    help="path to grape6_served; adds the attribution-scope "
+                         "and time-series determinism checks")
     ap.add_argument("--loadgen", default=None,
-                    help="path to grape6_loadgen (required with --served)")
+                    help="path to grape6_loadgen; with --served, adds the "
+                         "wire.* transport determinism check")
     args = ap.parse_args()
-    if bool(args.served) != bool(args.loadgen):
-        ap.error("--served and --loadgen must be given together")
+    if args.loadgen and not args.served:
+        ap.error("--loadgen needs --served")
 
     with tempfile.TemporaryDirectory() as td:
         tmp = Path(td)
@@ -260,20 +252,18 @@ def main() -> int:
         report_in = tmp / "m0.json"
         r1 = run([args.report, f"--in={report_in}"])
         r2 = run([args.report, f"--in={report_in}"])
-        if r1.stdout != r2.stdout:
+        if r1 != r2:
             errors.append("g6report output differs between two reads of "
                           "the same file")
 
-        if args.serve:
+        if args.served:
             manifest = tmp / "manifest.json"
-            manifest.write_text(json.dumps(
-                {"schema": "grape6-serve-manifest-v1",
-                 "service": SERVE_SERVICE, "jobs": SERVE_JOBS}, indent=2))
+            write_manifest(manifest, SERVE_SERVICE, SERVE_JOBS)
             serve_metrics, serve_series = [], []
             for i in (0, 1):
                 m_out = tmp / f"serve_m{i}.json"
                 ts_out = tmp / f"serve_ts{i}.json"
-                run([args.serve, f"--manifest={manifest}",
+                run([args.served, f"--manifest={manifest}",
                      f"--out={tmp / f'serve{i}'}", "--snapshots=false",
                      "--threads=2", f"--metrics-out={m_out}",
                      f"--timeseries-out={ts_out}"])
@@ -297,43 +287,25 @@ def main() -> int:
             serve_in = tmp / "serve_m0.json"
             s1 = run([args.report, f"--in={serve_in}"])
             s2 = run([args.report, f"--in={serve_in}"])
-            if s1.stdout != s2.stdout:
+            if s1 != s2:
                 errors.append("serve: g6report output differs between two "
                               "reads of the same file")
 
-        if args.served:
+        if args.loadgen:
             daemon_manifest = tmp / "wire_service.json"
-            daemon_manifest.write_text(json.dumps(
-                {"schema": "grape6-serve-manifest-v1",
-                 "service": SERVE_SERVICE}, indent=2))
-            jobs_manifest = tmp / "wire_jobs.json"
-            jobs_manifest.write_text(json.dumps(
-                {"schema": "grape6-serve-manifest-v1",
-                 "service": SERVE_SERVICE, "jobs": SERVE_JOBS}, indent=2))
+            write_manifest(daemon_manifest, SERVE_SERVICE)
             wire_metrics = []
             for i in (0, 1):
                 sock = tmp / f"wire{i}.sock"
                 m_out = tmp / f"wire_m{i}.json"
-                daemon = subprocess.Popen(
+                serve_daemon(
                     [args.served, f"--listen=unix:{sock}",
                      f"--manifest={daemon_manifest}",
                      f"--out={tmp / f'wired{i}'}", "--snapshots=false",
                      f"--metrics-out={m_out}"],
-                    stdout=subprocess.PIPE, text=True)
-                try:
-                    banner = daemon.stdout.readline()  # blocks until bound
-                    if "listening on" not in banner:
-                        sys.exit(f"unexpected served banner: {banner!r}")
-                    run([args.loadgen, f"--connect=unix:{sock}",
-                         f"--manifest={jobs_manifest}", "--connections=2",
-                         "--drain=true"])
-                    out, _ = daemon.communicate(timeout=120)
-                    if daemon.returncode != 0:
-                        sys.exit(f"grape6_served exited {daemon.returncode}:"
-                                 f"\n{out}")
-                finally:
-                    if daemon.poll() is None:
-                        daemon.kill()
+                    [args.loadgen, f"--connect=unix:{sock}",
+                     f"--manifest={manifest}", "--connections=2",
+                     "--drain=true"])
                 wire_metrics.append(json.loads(m_out.read_text()))
 
             errors += [f"wire: {e}" for e in
@@ -343,10 +315,10 @@ def main() -> int:
             wire_in = tmp / "wire_m0.json"
             w1 = run([args.report, f"--in={wire_in}"])
             w2 = run([args.report, f"--in={wire_in}"])
-            if w1.stdout != w2.stdout:
+            if w1 != w2:
                 errors.append("wire: g6report output differs between two "
                               "reads of the same file")
-            if "wire summary:" not in w1.stdout:
+            if "wire summary:" not in w1:
                 errors.append("wire: g6report shows no wire summary for a "
                               "served metrics file")
 

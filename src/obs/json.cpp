@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -53,6 +54,11 @@ bool JsonValue::as_bool() const {
 double JsonValue::as_number() const {
   if (type_ != Type::kNumber) throw std::runtime_error("json: not a number");
   return number_;
+}
+
+const std::optional<JsonValue::Integer>& JsonValue::as_integer() const {
+  if (type_ != Type::kNumber) throw std::runtime_error("json: not a number");
+  return integer_;
 }
 
 const std::string& JsonValue::as_string() const {
@@ -312,6 +318,14 @@ class JsonParser {
     JsonValue v;
     v.type_ = JsonValue::Type::kNumber;
     v.number_ = d;
+    if (tok.find_first_of(".eE") == std::string::npos) {
+      JsonValue::Integer i;
+      i.negative = tok[0] == '-';
+      const char* first = tok.data() + (i.negative ? 1 : 0);
+      const char* last = tok.data() + tok.size();
+      const auto [ptr, ec] = std::from_chars(first, last, i.magnitude);
+      if (ec == std::errc() && ptr == last) v.integer_ = i;
+    }
     return v;
   }
 

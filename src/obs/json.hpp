@@ -3,9 +3,11 @@
 // small recursive-descent parser for the readers (g6report, telemetry
 // tests), and the one strict object reader every schema parser (serve
 // manifest and journal, wire envelopes, fault plans) is built on. Handles
-// the full JSON grammar; numbers are doubles.
+// the full JSON grammar; numbers are doubles, and an integer token also
+// keeps its exact 64-bit value.
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <string>
@@ -35,8 +37,18 @@ class JsonValue {
   bool is_number() const { return type_ == Type::kNumber; }
   bool is_string() const { return type_ == Type::kString; }
 
+  /// The exact value of a number written as an integer (no '.', 'e' or
+  /// 'E') whose magnitude fits 64 bits. as_number() rounds such a value
+  /// above 2^53; this does not.
+  struct Integer {
+    bool negative = false;
+    std::uint64_t magnitude = 0;
+  };
+
   bool as_bool() const;
   double as_number() const;
+  /// nullopt for a number token that is not such an integer.
+  const std::optional<Integer>& as_integer() const;
   const std::string& as_string() const;
   const std::vector<JsonValue>& items() const;  ///< array elements
   const std::vector<std::pair<std::string, JsonValue>>& members() const;
@@ -50,6 +62,7 @@ class JsonValue {
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;
+  std::optional<Integer> integer_;
   std::string string_;
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
@@ -71,6 +84,25 @@ std::optional<Int> json_integer(double d) {
   const double min = std::is_signed_v<Int> ? -past_max : 0.0;
   if (!(d >= min && d < past_max) || d != std::floor(d)) return std::nullopt;
   return static_cast<Int>(d);
+}
+
+/// The integer a JSON number token holds, when `Int` represents it:
+/// exactly from an integer token (all 64 bits), else through the double.
+template <typename Int>
+std::optional<Int> json_integer(const JsonValue& v) {
+  const std::optional<JsonValue::Integer>& i = v.as_integer();
+  if (!i) return json_integer<Int>(v.as_number());
+  const auto max = static_cast<std::uint64_t>(std::numeric_limits<Int>::max());
+  if (!i->negative || i->magnitude == 0) {
+    if (i->magnitude > max) return std::nullopt;
+    return static_cast<Int>(i->magnitude);
+  }
+  if constexpr (std::is_signed_v<Int>) {
+    // |min| = max + 1.
+    if (i->magnitude - 1 > max) return std::nullopt;
+    return static_cast<Int>(-static_cast<Int>(i->magnitude - 1) - 1);
+  }
+  return std::nullopt;
 }
 
 /// `v` at 17 significant digits ("%.17g"), which parses back to the
@@ -134,9 +166,8 @@ class JsonObjectReader {
   /// `label` stands in for the key in the message.
   template <typename Int>
   Int integer(const JsonValue& v, std::string_view label) const {
-    if (const std::optional<Int> i = json_integer<Int>(number(v, label))) {
-      return *i;
-    }
+    number(v, label);  // fails unless a number
+    if (const std::optional<Int> i = json_integer<Int>(v)) return *i;
     fail_key(label, "must be an integer in [" +
                         std::to_string(std::numeric_limits<Int>::min()) +
                         ", " +
@@ -146,7 +177,9 @@ class JsonObjectReader {
   /// A non-negative value of `Int`.
   template <typename Int>
   Int count(std::string_view key) const {
-    std::optional<Int> i = json_integer<Int>(number(key));
+    const JsonValue& v = at(key);
+    number(v, key);  // fails unless a number
+    std::optional<Int> i = json_integer<Int>(v);
     if constexpr (std::is_signed_v<Int>) {
       if (i && *i < 0) i.reset();
     }

@@ -3,7 +3,7 @@
 //
 // A MetricsSampler snapshots a fixed set of tracked counters/gauges into
 // one row per tick. Ticks are LOGICAL — the serve scheduler samples once
-// per round, grape6_serve once per run phase — never wall-clock driven:
+// per round (grape6_served --timeseries-out) — never wall-clock driven:
 // two identical runs must produce the same number of rows with the same
 // deterministic series values, so export_determinism can diff the export
 // (wall-clock columns like t_s, and schedule-dependent series like

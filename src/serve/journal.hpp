@@ -7,7 +7,7 @@
 // and fsync'd (util/fileio.hpp AppendLog) *before* the transition takes
 // effect, so after a crash — including kill -9 mid-write — the journal
 // is a complete prefix of the service history plus at most one torn
-// final line. `grape6_serve --recover <journal>` replays that prefix
+// final line. `grape6_served --recover <journal>` replays that prefix
 // through the scheduler's own state machine (Scheduler::recover and
 // Scheduler::apply in serve/scheduler.hpp) to rebuild queue/partition/
 // scheduler state and resume in-flight jobs from their latest valid

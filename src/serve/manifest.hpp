@@ -1,5 +1,5 @@
 #pragma once
-// Job manifests — the JSON a tenant hands tools/grape6_serve.
+// Job manifests — the JSON a tenant hands tools/grape6_served.
 //
 // Schema `grape6-serve-manifest-v1`:
 //

@@ -114,27 +114,9 @@ void write_service_report(
     for (const auto& [id, file] : snapshots) {
       if (id == r.id) snap = file;
     }
-    os << "    {\"id\": " << r.id << ", \"name\": \""
-       << obs::json_escape(r.name) << "\", \"priority\": \""
-       << priority_name(r.priority) << "\", \"state\": \""
-       << job_state_name(r.state) << "\", \"reject_reason\": \""
-       << reject_reason_name(r.reject_reason) << "\", \"message\": \""
-       << obs::json_escape(r.message) << "\",\n     \"n\": " << r.n
-       << ", \"boards\": " << r.boards << ", \"boards_now\": " << r.boards_now
-       << ", \"resizes\": " << r.resizes << ", \"t_end\": " << r.t_end
-       << ", \"t_reached\": " << r.t_reached << ", \"steps\": " << r.steps
-       << ", \"blocksteps\": " << r.blocksteps
-       << ", \"quanta\": " << r.quanta
-       << ", \"preemptions\": " << r.preemptions
-       << ", \"revocations\": " << r.revocations
-       << ", \"requeues\": " << r.requeues
-       << ", \"failures\": " << r.failures
-       << ",\n     \"wait_s\": " << r.wait_s << ", \"run_s\": " << r.run_s
-       << ", \"grape_virtual_s\": " << r.grape_virtual_s
-       << ", \"e0\": " << r.e0 << ", \"e_final\": " << r.e_final
-       << ", \"energy_error\": " << r.energy_error()
-       << ",\n     \"snapshot\": \"" << obs::json_escape(snap)
-       << "\", \"eq10\": ";
+    os << "    {";
+    write_job_report_keys(os, r);
+    os << ",\"snapshot\":\"" << obs::json_escape(snap) << "\",\"eq10\":";
     write_eq10(os, r.eq10);
     os << "}" << (i + 1 < ids.size() ? "," : "") << "\n";
   }

@@ -10,7 +10,7 @@
 // (jobs *run* in parallel on the src/exec pool, but submit/report calls
 // are not concurrency-safe against run_until_drained).
 //
-// Typical use (tools/grape6_serve is the full version):
+// Typical use (tools/grape6_served is the full version):
 //
 //   serve::GrapeService service(cfg);
 //   serve::ServeClient client = service.client();
@@ -101,10 +101,10 @@ class GrapeService {
   std::unique_ptr<Scheduler> impl_;
 };
 
-/// Write the grape6-serve-report-v1 file (service counters, then one
-/// object per job with its snapshot file from `snapshots`, if any) that
-/// grape6_serve and grape6_served both emit, so a remote run's report
-/// diffs cleanly against a local one.
+/// Write the grape6-serve-report-v1 file that grape6_served emits in both
+/// modes: service counters, then one object per job, which holds the
+/// write_job_report_keys keys (what the wire's `report` answers) plus its
+/// snapshot file from `snapshots` (if any) and its Eq 10 split.
 void write_service_report(
     const std::string& path, const GrapeService& service,
     const std::vector<std::pair<JobId, std::string>>& snapshots);

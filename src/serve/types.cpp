@@ -122,6 +122,28 @@ double JobReport::energy_error() const {
   return std::abs((e_final - e0) / e0);
 }
 
+void write_job_report_keys(std::ostream& os, const JobReport& r) {
+  os << "\"id\":" << r.id << ",\"name\":\"" << obs::json_escape(r.name)
+     << "\",\"priority\":\"" << priority_name(r.priority)
+     << "\",\"state\":\"" << job_state_name(r.state)
+     << "\",\"reject_reason\":\"" << reject_reason_name(r.reject_reason)
+     << "\",\"message\":\"" << obs::json_escape(r.message)
+     << "\",\"n\":" << r.n << ",\"boards\":" << r.boards
+     << ",\"boards_now\":" << r.boards_now << ",\"resizes\":" << r.resizes
+     << ",\"t_end\":" << obs::json_number(r.t_end)
+     << ",\"t_reached\":" << obs::json_number(r.t_reached)
+     << ",\"steps\":" << r.steps << ",\"blocksteps\":" << r.blocksteps
+     << ",\"quanta\":" << r.quanta << ",\"preemptions\":" << r.preemptions
+     << ",\"revocations\":" << r.revocations << ",\"requeues\":" << r.requeues
+     << ",\"failures\":" << r.failures
+     << ",\"wait_s\":" << obs::json_number(r.wait_s)
+     << ",\"run_s\":" << obs::json_number(r.run_s)
+     << ",\"grape_virtual_s\":" << obs::json_number(r.grape_virtual_s)
+     << ",\"e0\":" << obs::json_number(r.e0)
+     << ",\"e_final\":" << obs::json_number(r.e_final)
+     << ",\"energy_error\":" << obs::json_number(r.energy_error());
+}
+
 std::vector<BoardDeath> board_deaths_from_plan(const fault::FaultPlan& plan) {
   std::vector<BoardDeath> deaths;
   for (const fault::HardFailure& hf : plan.hard_failures) {

@@ -181,6 +181,12 @@ struct JobReport {
   double energy_error() const;
 };
 
+/// Write the 25 per-job report keys, `"id":1,...,"energy_error":0`,
+/// without braces: the wire's `report` response and terminal event wrap
+/// them as they are, and each job object of the grape6-serve-report-v1
+/// file appends its `snapshot` and `eq10`. Doubles at 17 digits.
+void write_job_report_keys(std::ostream& os, const JobReport& r);
+
 /// A board death the service must survive: at the start of scheduler
 /// round `round`, board `board` goes permanently dead. If the board is
 /// leased, the owning job's lease is revoked and the job re-queued; the

@@ -62,8 +62,9 @@ class RemoteClient {
   /// inbox is empty).
   std::optional<WireEvent> next_event(bool wait = true);
 
-  /// Full JobReport as the server's JSON object (field-for-field the
-  /// grape6_serve report file's per-job object).
+  /// Full JobReport as the server's JSON object: the keys of
+  /// serve::write_job_report_keys, field-for-field the grape6_served
+  /// report file's per-job object (which adds `snapshot` and `eq10`).
   obs::JsonValue report_json(serve::JobId id);
   std::string state_name(serve::JobId id);
   /// Final particle state of a completed job; `t` receives its time.

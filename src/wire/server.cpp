@@ -29,29 +29,6 @@ void write_envelope_head(std::ostream& os, const char* kind) {
   os << "{\"schema\":\"" << kWireSchema << "\",\"kind\":\"" << kind << "\"";
 }
 
-/// The same per-job key set as serve::write_service_report's file, so a
-/// remote report is field-for-field the local one.
-void write_job_report(std::ostream& os, const serve::JobReport& r) {
-  os << "{\"id\":" << r.id << ",\"name\":\"" << json_escape(r.name)
-     << "\",\"priority\":\"" << serve::priority_name(r.priority)
-     << "\",\"state\":\"" << serve::job_state_name(r.state)
-     << "\",\"reject_reason\":\"" << serve::reject_reason_name(r.reject_reason)
-     << "\",\"message\":\"" << json_escape(r.message) << "\",\"n\":" << r.n
-     << ",\"boards\":" << r.boards << ",\"boards_now\":" << r.boards_now
-     << ",\"resizes\":" << r.resizes << ",\"t_end\":" << json_number(r.t_end)
-     << ",\"t_reached\":" << json_number(r.t_reached)
-     << ",\"steps\":" << r.steps << ",\"blocksteps\":" << r.blocksteps
-     << ",\"quanta\":" << r.quanta << ",\"preemptions\":" << r.preemptions
-     << ",\"revocations\":" << r.revocations << ",\"requeues\":" << r.requeues
-     << ",\"failures\":" << r.failures
-     << ",\"wait_s\":" << json_number(r.wait_s)
-     << ",\"run_s\":" << json_number(r.run_s)
-     << ",\"grape_virtual_s\":" << json_number(r.grape_virtual_s)
-     << ",\"e0\":" << json_number(r.e0)
-     << ",\"e_final\":" << json_number(r.e_final)
-     << ",\"energy_error\":" << json_number(r.energy_error()) << "}";
-}
-
 }  // namespace
 
 struct WireServer::Impl {
@@ -74,6 +51,7 @@ struct WireServer::Impl {
     serve::JobState state = serve::JobState::kQueued;
     std::size_t boards_now = 0;
     std::uint64_t resizes = 0;
+    bool progress_sent = false;
     bool terminal_sent = false;
   };
 
@@ -141,7 +119,13 @@ struct WireServer::Impl {
       track.state = rep.state;
       track.boards_now = rep.boards_now;
       track.resizes = rep.resizes;
-      if (progressed && !terminal) {
+      // A job leased and finished in the same round goes from queued
+      // straight to terminal; it still streams the one progress event
+      // that shows it ran.
+      const bool unseen_run =
+          terminal && rep.quanta > 0 && !track.progress_sent;
+      if ((progressed && !terminal) || unseen_run) {
+        track.progress_sent = true;
         std::ostringstream os;
         write_envelope_head(os, "event");
         os << ",\"event\":\"progress\",\"job\":" << rep.id << ",\"name\":\""
@@ -159,9 +143,9 @@ struct WireServer::Impl {
         track.terminal_sent = true;
         std::ostringstream os;
         write_envelope_head(os, "event");
-        os << ",\"event\":\"terminal\",\"job\":" << rep.id << ",\"report\":";
-        write_job_report(os, rep);
-        os << "}";
+        os << ",\"event\":\"terminal\",\"job\":" << rep.id << ",\"report\":{";
+        serve::write_job_report_keys(os, rep);
+        os << "}}";
         broadcast(id, os.str());
         if (rep.state == serve::JobState::kCompleted) {
           // Snapshot events are opt-in (a 17-digit body table is the
@@ -224,9 +208,11 @@ struct WireServer::Impl {
         req.fail("unknown job " + std::to_string(job));
       }
       if (env.method == "report") {
-        os << ",\"report\":";
-        write_job_report(os, service.report(job));
-        os << "}";
+        // The report file's per-job keys, so a remote report is
+        // field-for-field the local one.
+        os << ",\"report\":{";
+        serve::write_job_report_keys(os, service.report(job));
+        os << "}}";
       } else if (env.method == "state") {
         os << ",\"state\":\"" << serve::job_state_name(service.state(job))
            << "\"}";

@@ -10,7 +10,7 @@
 // rounds, quanta still parallelize on the shared src/exec pool
 // underneath run_rounds, and no lock ever spans a round. Call run() from
 // a pool task (bench/serve_load) or the tool's main thread
-// (tools/grape6_served).
+// (tools/grape6_served --listen).
 //
 // Clients speak grape6-wire-v1 request/response envelopes; a subscribe
 // request upgrades the connection to streaming: per-quantum progress

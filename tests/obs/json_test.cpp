@@ -97,6 +97,33 @@ TEST(JsonInteger, AcceptsExactlyTheValuesOfTheType) {
             std::nullopt);
 }
 
+TEST(JsonInteger, IntegerTokensKeepAllSixtyFourBits) {
+  const auto u64 = [](const char* text) {
+    return json_integer<std::uint64_t>(JsonValue::parse(text));
+  };
+  const auto i64 = [](const char* text) {
+    return json_integer<std::int64_t>(JsonValue::parse(text));
+  };
+  EXPECT_EQ(u64("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(u64("9007199254740993"), 9007199254740993u);  // 2^53 + 1
+  EXPECT_EQ(u64("18446744073709551616"), std::nullopt);
+  EXPECT_EQ(u64("-1"), std::nullopt);
+  EXPECT_EQ(u64("-0"), 0u);
+  EXPECT_EQ(i64("-9223372036854775808"),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(i64("9223372036854775807"),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(i64("9223372036854775808"), std::nullopt);
+  EXPECT_EQ(i64("-9223372036854775809"), std::nullopt);
+  EXPECT_EQ(json_integer<int>(JsonValue::parse("-2147483649")), std::nullopt);
+  // Other tokens still convert through the double.
+  EXPECT_EQ(u64("1e3"), 1000u);
+  EXPECT_EQ(u64("2.0"), 2u);
+  EXPECT_EQ(u64("2.5"), std::nullopt);
+  EXPECT_FALSE(JsonValue::parse("1e3").as_integer().has_value());
+}
+
 TEST(JsonNumber, SeventeenDigitsRoundTripBinary64) {
   EXPECT_EQ(json_number(0.1 + 0.2), "0.30000000000000004");
   EXPECT_EQ(json_number(0.25), "0.25");

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -326,6 +328,33 @@ TEST_F(JournalFileTest, AppendModeContinuesSequence) {
   ASSERT_EQ(replay.records.size(), 2u);
   EXPECT_EQ(replay.records[1].type, JournalRecordType::kRecovered);
   EXPECT_EQ(replay.records[1].records, 1u);
+}
+
+TEST_F(JournalFileTest, U64AboveTwoToThe53SurvivesReplayExactly) {
+  // A double holds integers exactly only up to 2^53; 2^64 - 1 read as
+  // one rounds to 2^64 and is refused, which would strand the service.
+  JournalRecord sub;
+  sub.seq = 2;
+  sub.type = JournalRecordType::kSubmitted;
+  sub.job = 1;
+  sub.spec = demo_spec();
+  sub.spec.deadline_rounds = std::numeric_limits<std::uint64_t>::max();
+  sub.spec.seed = 4294967295u;
+  EXPECT_EQ(decode_record(encode_record(sub)).spec.deadline_rounds,
+            std::numeric_limits<std::uint64_t>::max());
+
+  JournalRecord death;
+  death.seq = 3;
+  death.type = JournalRecordType::kBoardDeath;
+  death.round = (std::uint64_t{1} << 53) + 1;
+  spit(open_line() + "\n" + encode_record(sub) + "\n" +
+       encode_record(death) + "\n");
+  const JournalReplay replay = replay_journal(path_);
+  ASSERT_EQ(replay.records.size(), 3u);
+  EXPECT_EQ(replay.records[1].spec.deadline_rounds,
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(replay.records[1].spec.seed, 4294967295u);
+  EXPECT_EQ(replay.records[2].round, (std::uint64_t{1} << 53) + 1);
 }
 
 TEST_F(JournalFileTest, TornTailIsDroppedAndFlagged) {

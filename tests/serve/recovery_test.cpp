@@ -2,10 +2,10 @@
 // service resumable with NOTHING lost — every job reaches exactly one
 // terminal state, and every completed job's final particle state is
 // bit-identical to the run that was never interrupted. run_rounds(k)
-// simulates the crash at an exact round boundary in-process (the
-// kill -9 variant lives in scripts/serve_recovery_check.py); abandoning
-// the Scheduler without drain() mimics the dead process, because the
-// journal is fsync'd ahead of every transition.
+// simulates the crash at an exact round boundary in-process (the kill -9
+// variant is the serve_recovery_* modes of scripts/serve_check.py);
+// abandoning the Scheduler without drain() mimics the dead process,
+// because the journal is fsync'd ahead of every transition.
 
 #include <gtest/gtest.h>
 

@@ -12,6 +12,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <optional>
@@ -161,6 +163,85 @@ TEST_F(WireServerTest, SubmitStreamsProgressAndExactlyOneTerminal) {
 
   join_server();
   EXPECT_EQ(service_->stats().completed, 2u);
+}
+
+TEST_F(WireServerTest, JobFinishedInItsFirstQuantumStreamsOneProgress) {
+  // bat-c of the wire_identity manifest: on an idle 4-board machine it is
+  // leased and finishes in the same round, so no round ever sees it
+  // running. It still owes one progress event, before its terminal.
+  serve::ServiceConfig cfg = small_service();
+  cfg.machine.boards_per_host = 4;
+  cfg.quantum_blocksteps = 4;
+  start(cfg);
+  RemoteClient client(endpoint_);
+  client.subscribe();
+  serve::JobSpec spec;
+  spec.name = "bat-c";
+  spec.model = "disk";
+  spec.n = 48;
+  spec.t_end = 0.0625;
+  spec.seed = 28;
+  spec.boards = 2;
+  ASSERT_TRUE(client.submit(spec));
+
+  int progress = 0;
+  while (true) {
+    std::optional<WireEvent> ev = client.next_event(true);
+    ASSERT_TRUE(ev.has_value()) << "EOF before the terminal";
+    if (ev->event == "progress") ++progress;
+    if (ev->event == "terminal") {
+      const obs::JsonValue* rep = ev->root.find("report");
+      ASSERT_NE(rep, nullptr);
+      EXPECT_EQ(str_at(*rep, "state"), "completed");
+      EXPECT_EQ(num_at(*rep, "quanta"), 1.0);
+      break;
+    }
+  }
+  EXPECT_EQ(progress, 1);
+  join_server();
+}
+
+TEST_F(WireServerTest, ReportResponseMatchesTheReportFileJobObject) {
+  start();
+  RemoteClient client(endpoint_);
+  client.subscribe();
+  const serve::SubmitResult r = client.submit(quick_job("parity", 5));
+  ASSERT_TRUE(r);
+  while (true) {
+    std::optional<WireEvent> ev = client.next_event(true);
+    ASSERT_TRUE(ev.has_value()) << "EOF before the terminal";
+    if (ev->event == "terminal") break;
+  }
+  const obs::JsonValue remote = client.report_json(r.id);
+  join_server();
+
+  const std::string path =
+      ::testing::TempDir() + "g6wire_parity_report.json";
+  serve::write_service_report(path, *service_, {{r.id, "parity.snap"}});
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  const obs::JsonValue file = obs::JsonValue::parse(text.str());
+  std::remove(path.c_str());
+  ASSERT_EQ(file.at("jobs").items().size(), 1u);
+  const obs::JsonValue& local = file.at("jobs").items()[0];
+
+  // Every key of the response is in the file's job object with the same
+  // value; the file adds exactly its snapshot path and Eq 10 split.
+  EXPECT_EQ(remote.members().size(), 25u);
+  EXPECT_EQ(local.members().size(), remote.members().size() + 2);
+  for (const auto& [key, value] : remote.members()) {
+    const obs::JsonValue* mine = local.find(key);
+    ASSERT_NE(mine, nullptr) << key;
+    ASSERT_EQ(mine->type(), value.type()) << key;
+    if (value.is_number()) {
+      EXPECT_EQ(mine->as_number(), value.as_number()) << key;
+    } else {
+      EXPECT_EQ(mine->as_string(), value.as_string()) << key;
+    }
+  }
+  EXPECT_EQ(str_at(local, "snapshot"), "parity.snap");
+  EXPECT_TRUE(local.at("eq10").is_object());
 }
 
 TEST_F(WireServerTest, SnapshotEventMatchesFinalStateEverywhere) {

@@ -7,7 +7,7 @@
 //                                       exit 4 if any |delta| exceeds 5%
 //
 // Reads the "grape6-metrics-v1" schema written by --metrics-out
-// (grape6_run, grape6_serve, the benches) and prints the Eq 10 time
+// (grape6_run, grape6_served, the benches) and prints the Eq 10 time
 // breakdown plus the counters, gauges, histogram summaries and per-job
 // attribution scopes. Diff mode is the comparison half of the
 // bench-regression harness (scripts/bench_regress.py drives it in CI).
