@@ -172,6 +172,52 @@ BENCHMARK(BM_ChipPassBlock)
     ->Args({32, 13})
     ->ArgNames({"nj", "ni"});
 
+// Whole-module pass: four chips holding `nj` j-particles each against an
+// i-block of `ni` slots, merged by the module's summation unit. nj = 2
+// is serve_volatile's per-chip j count (N = 64 over two boards), ni = 2
+// and 10 its common small blocks; nj = 32 at a full block is integrate's
+// shape. Its items/s counts the module's interactions.
+void BM_ModulePass(benchmark::State& state) {
+  const std::size_t n_j = static_cast<std::size_t>(state.range(0));
+  const std::size_t n_i = static_cast<std::size_t>(state.range(1));
+  const MachineConfig mc;
+  const NumberFormats fmt;
+  ProcessorModule module(mc, fmt);
+  const std::size_t chips = module.chip_count();
+  Rng rng(7);
+  const ParticleSet set = make_plummer(chips * n_j + n_i, rng);
+  for (std::size_t s = 0; s < chips * n_j; ++s) {
+    JParticle jp;
+    jp.mass = set[s].mass;
+    jp.pos = set[s].pos;
+    jp.vel = set[s].vel;
+    const auto index = static_cast<std::uint32_t>(s);
+    module.chip(s / n_j).write(s % n_j, quantize_j_particle(jp, index, fmt));
+  }
+  std::vector<IParticlePacket> iblock(n_i);
+  for (std::size_t k = 0; k < iblock.size(); ++k) {
+    PredictedState p;
+    p.pos = set[chips * n_j + k].pos;
+    p.vel = set[chips * n_j + k].vel;
+    p.index = static_cast<std::uint32_t>(chips * n_j + k);
+    iblock[k] = quantize_i_particle(p, fmt);
+  }
+  const std::vector<BlockExponents> exps(n_i, BlockExponents{4, 8, 4});
+  std::vector<HwPartialWords> out(n_i);
+  for (auto _ : state) {
+    module.run_pass(0.0, iblock, exps, 1e-4, out);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(chips * n_j * n_i));
+}
+BENCHMARK(BM_ModulePass)
+    ->Args({1, 2})
+    ->Args({2, 2})
+    ->Args({2, 10})
+    ->Args({32, 48})
+    ->ArgNames({"nj", "ni"});
+
 void BM_OctreeBuild(benchmark::State& state) {
   Rng rng(1);
   const ParticleSet set = make_plummer(static_cast<std::size_t>(state.range(0)), rng);

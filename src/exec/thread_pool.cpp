@@ -247,8 +247,10 @@ void TaskGroup::run(Task task) {
     } catch (...) {
       err = std::current_exception();
     }
+    // Moved, not copied: the worker keeps no reference to the exception
+    // once it unlocks (the waiter owns task exceptions, docs/EXECUTION.md).
     MutexLock lk(st->m);
-    if (err) st->errors.emplace_back(idx, err);
+    if (err) st->errors.emplace_back(idx, std::move(err));
     if (--st->pending == 0) st->cv.notify_all();
   });
 }

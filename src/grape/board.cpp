@@ -20,33 +20,26 @@ std::uint64_t ProcessorModule::run_pass(double t,
   G6_REQUIRE(exps.size() == iblock.size());
   G6_REQUIRE(out.size() == iblock.size());
   G6_REQUIRE(neighbors.empty() || neighbors.size() == iblock.size());
-  std::fill(out.begin(), out.end(), HwPartialWords{});
-  std::uint64_t max_cycles = 0;
-  // Thread-local scratch keeps run_pass reentrant for the exec-pool tasks
-  // (concurrent passes run on distinct workers; nothing below yields to
-  // the pool, so one thread never re-enters mid-pass) while reusing the
-  // accumulator banks and neighbor-index heaps across passes.
-  static thread_local std::vector<HwAccumulators> scratch;
-  static thread_local std::vector<HwNeighborRecorder> nb_scratch;
-  scratch.resize(iblock.size());
-  const bool want_nb = !neighbors.empty();
-  nb_scratch.resize(want_nb ? iblock.size() : 0);
-  for (std::size_t c = 0; c < chips_.size(); ++c) {
-    for (std::size_t k = 0; k < iblock.size(); ++k) {
-      scratch[k].reset(exps[k]);
-      if (want_nb) nb_scratch[k].reset(neighbors[k].capacity);
-    }
-    max_cycles = std::max(
-        max_cycles,
-        chips_[c].run_pass(t, iblock, eps2, scratch,
-                           want_nb ? std::span<HwNeighborRecorder>(nb_scratch)
-                                   : std::span<HwNeighborRecorder>{}));
-    for (std::size_t k = 0; k < iblock.size(); ++k) {
-      out[k].merge(scratch[k].words());
-      if (want_nb) neighbors[k].merge(nb_scratch[k]);
-    }
+  const bool faults = std::any_of(chips_.begin(), chips_.end(),
+                                  [](const Chip& c) { return c.takes_faults(); });
+  if (!faults) {
+    const ModuleWords merged{.merged = out, .exps = exps, .chips = {}};
+    return Chip::run_chips(chips_, t, iblock, eps2, merged, neighbors) +
+           kSummationLatencyCycles;
   }
-  return max_cycles + kSummationLatencyCycles;
+  // Output faults hit each chip's whole-block words before the summation
+  // unit sees them: the kernel leaves the chips' words apart, and they
+  // merge here, in chip order.
+  const std::size_t n = iblock.size();
+  const std::size_t banks = chips_.size() * n;
+  std::vector<HwAccumulators> words(banks);
+  for (std::size_t i = 0; i < words.size(); ++i) words[i].reset(exps[i % n]);
+  const ModuleWords per_chip{.merged = {}, .exps = {}, .chips = words};
+  const std::uint64_t cycles =
+      Chip::run_chips(chips_, t, iblock, eps2, per_chip, neighbors);
+  std::fill(out.begin(), out.end(), HwPartialWords{});
+  for (std::size_t i = 0; i < words.size(); ++i) out[i % n].merge(words[i].words());
+  return cycles + kSummationLatencyCycles;
 }
 
 ProcessorBoard::ProcessorBoard(const MachineConfig& mc, const NumberFormats& fmt) {

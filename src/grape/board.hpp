@@ -7,6 +7,13 @@
 // floating-point partials). Chips hold disjoint j-subsets, so a board
 // computes the force from its whole j-population on one 48-particle
 // i-block per pass.
+//
+// The module is the unit of the emulator's force kernel: one module pass
+// predicts every chip's j-memory in one batch and runs one
+// ForcePipeline::interact_module() call, which sets up each i-slot lane
+// group once and merges the chips' partials in the lanes, in chip order
+// (pipeline.hpp). The board's sum over modules stays outside, in module
+// order (sum_modules), after the engine's per-module tasks join.
 
 #include <cstdint>
 #include <span>
@@ -28,12 +35,15 @@ class ProcessorModule {
   const Chip& chip(std::size_t i) const { return chips_[i]; }
 
   /// Run one pass on all chips (same i-block, disjoint j; every chip's
-  /// partials start from `exps`) and merge the partials in the summation
-  /// unit, in chip order. `out` is overwritten; `neighbors` (optional,
-  /// same length, reset by the caller) collects the merged neighbor
-  /// lists. Returns cycles = max over chips + summation latency.
-  /// Reentrant: concurrent passes with distinct `out` banks are safe (all
-  /// scratch is pass-local; the chips only read their j-memory).
+  /// partials are taken on `exps`) and merge the partials in the
+  /// summation unit, in chip order — one kernel call for the module.
+  /// `out` is overwritten; `neighbors` (optional, same length, reset by
+  /// the caller) collects the merged neighbor lists, each chip's through
+  /// its FIFO. A chip with an injector attached has its output faults
+  /// applied to its own words before the merge. Returns cycles = max over
+  /// chips + summation latency. Reentrant: concurrent passes with
+  /// distinct `out` banks are safe (scratch is per thread; the chips only
+  /// read their j-memory).
   std::uint64_t run_pass(double t, std::span<const IParticlePacket> iblock,
                          std::span<const BlockExponents> exps, double eps2,
                          std::span<HwPartialWords> out,

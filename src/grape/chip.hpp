@@ -4,7 +4,9 @@
 //
 // Functional model: every stored j-particle is predicted once per pass and
 // broadcast to all virtual pipelines, i.e. the chip computes forces from
-// its j-memory on up to 48 i-particles in parallel.
+// its j-memory on up to 48 i-particles in parallel. The emulator runs a
+// chip's pass inside its module's (board.hpp): one kernel call for all
+// the module's chips, and a lone chip's run_pass is a one-chip module.
 //
 // Timing model: a physical pipeline retires one interaction per clock and
 // serves `vmp_ways` virtual pipelines round-robin, so a pass over n_j
@@ -54,11 +56,12 @@ class Chip {
   StoredJParticle stored(std::size_t slot) const { return memory_.get(slot); }
 
   /// One force pass: forces from the whole j-memory on `iblock`
-  /// (iblock.size() <= i_parallelism()). `out[k]` must be reset with the
-  /// block exponents by the caller. When `neighbors` is non-empty (same
-  /// length as the block) the neighbor comparators run alongside; each
-  /// recorder must be reset to this chip's FIFO depth by the caller.
-  /// Returns the cycles consumed.
+  /// (iblock.size() <= i_parallelism()) — a one-chip module on the module
+  /// pass's kernel. `out[k]` must be reset with the block exponents by the
+  /// caller. When `neighbors` is non-empty (same length as the block) the
+  /// neighbor comparators run alongside; each recorder must be reset by
+  /// the caller and is clamped to this chip's FIFO depth. Returns the
+  /// cycles consumed.
   std::uint64_t run_pass(double t, std::span<const IParticlePacket> iblock,
                          double eps2, std::span<HwAccumulators> out,
                          std::span<HwNeighborRecorder> neighbors = {});
@@ -89,6 +92,23 @@ class Chip {
   void set_memory(JStore m) { memory_ = std::move(m); }
 
  private:
+  friend class ProcessorModule;
+
+  /// The module pass (board.hpp) over `chips`, which share one machine
+  /// config and format set: their j-memories predicted in one batch, then
+  /// one interact_module() into `out`. In the per-chip mode each chip with
+  /// an injector attached then takes its output faults, in chip order.
+  /// Counts each chip's cycles and interactions; returns the largest
+  /// chip's cycles.
+  static std::uint64_t run_chips(std::span<Chip> chips, double t,
+                                 std::span<const IParticlePacket> iblock, double eps2,
+                                 const ModuleWords& out,
+                                 std::span<HwNeighborRecorder> neighbors);
+
+  /// An injector is attached and the chip holds a j: its pass takes
+  /// output faults (an empty chip contributes nothing and stays quiet).
+  bool takes_faults() const { return fault_ != nullptr && !memory_.empty(); }
+
   MachineConfig mc_;
   PredictorUnit predictor_;
   ForcePipeline pipeline_;

@@ -80,12 +80,13 @@ void ForceTicket::finish(bool rethrow) {
   for (std::size_t c = 0; c < job_->ranges.size(); ++c) job_->wait_chunk(c);
   std::exception_ptr first;
   {
+    // Every error leaves the shared job here, on the waiting thread, so a
+    // worker that drops the last Job reference frees no exception.
     MutexLock lk(job_->m);
-    for (const auto& e : job_->err) {
-      if (e) {
-        first = e;  // errors are indexed by chunk: this IS the smallest
-        break;
-      }
+    for (auto& e : job_->err) {
+      // Errors are indexed by chunk: the first one IS the smallest.
+      if (!first) first = std::move(e);
+      e = nullptr;
     }
     if (!job_->finished) {
       job_->finished = true;
@@ -147,8 +148,10 @@ void ForceTicket::dispatch(std::size_t c, exec::Task body, bool parallel) {
     } catch (...) {
       err = std::current_exception();
     }
+    // Moved, not copied: the worker keeps no reference to the exception
+    // once it unlocks (the waiter owns task exceptions, docs/EXECUTION.md).
     MutexLock lk(job->m);
-    job->err[c] = err;
+    job->err[c] = std::move(err);
     job->state[c] = kDone;
     job->cv.notify_all();
   });

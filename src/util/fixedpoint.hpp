@@ -136,22 +136,27 @@ class BlockFloatAccumulator {
     block_exp_ = block_exp;
     mant_ = 0;
     overflow_ = false;
-    // Cache the grid scale 2^(kFracBits - block_exp) as a double so add()
-    // is one multiply instead of a per-call ldexp. A power-of-two multiply
-    // is exact (identical to ldexp) whenever the scale itself is a normal
-    // double; for the wild exponents outside that window add() falls back
-    // to ldexp, keeping the two formulations bit-identical everywhere.
-    // Inside the window 2^k is built from its exponent field, no libm call.
+    // Cache the grid scale so add() is one multiply instead of a per-call
+    // ldexp; outside its window add() falls back to ldexp.
+    scale_ = grid_scale(block_exp);
+    scale_exact_ = scale_ != 0.0;
+  }
+
+  /// The grid scale 2^(kFracBits - block_exp) of a word on `block_exp`, or
+  /// 0 outside the window where it is a normal double. A power-of-two
+  /// multiply is exact (identical to ldexp) inside that window, so add()
+  /// multiplies there and calls ldexp outside it, keeping the two
+  /// formulations bit-identical everywhere. 2^k is built from its exponent
+  /// field, no libm call.
+  static double grid_scale(int block_exp) {
     const int k = kFracBits - block_exp;
-    scale_exact_ = k >= -1021 && k <= 1023;
-    scale_ = scale_exact_
-                 ? std::bit_cast<double>(static_cast<std::uint64_t>(k + 1023) << 52)
-                 : 0.0;
+    return k >= -1021 && k <= 1023
+               ? std::bit_cast<double>(static_cast<std::uint64_t>(k + 1023) << 52)
+               : 0.0;
   }
 
   int block_exp() const { return block_exp_; }
-  /// The cached grid scale 2^(kFracBits - block_exp), or 0 outside the
-  /// window where add() calls ldexp instead.
+  /// The cached grid scale, grid_scale(block_exp()).
   double scale() const { return scale_; }
   bool overflow() const { return overflow_; }
   std::int64_t mantissa() const { return mant_; }
@@ -223,30 +228,33 @@ class BlockFloatAccumulator {
   friend struct LaneAccumulator;
 };
 
-/// W BlockFloatAccumulator words side by side, one per lane: the adds of
-/// the i-lane force kernel (src/grape/pipeline.cpp). Each lane's word must
-/// have an exact cached scale (scale() != 0). add() is add() on every lane
-/// — the same grid rounding, int64 sum and overflow flag — with no branch:
-/// a zero addend rounds to 0 and leaves the lane alone.
+/// W BlockFloatAccumulator words side by side, one per lane: the adds and
+/// merges of the i-lane force kernel (src/grape/pipeline.cpp). add() is
+/// add() on every lane — the same grid rounding, int64 sum and overflow
+/// flag — with no branch: a zero addend rounds to 0 and leaves the lane
+/// alone. Each lane's scale must be exact (grid_scale() != 0).
 template <int W>
 struct LaneAccumulator {
   LaneInts<W> mant;
-  LaneInts<W> overflow;  ///< all ones on a lane flagged since load()
+  LaneInts<W> overflow;  ///< all ones on a flagged lane
   Lanes<W> scale;
 
-  /// Lane l from *words[l], its flag clear: store() ORs it into the word's.
+  /// Lane l from *words[l]: mantissa, flag and scale.
   [[gnu::always_inline]] void load(const BlockFloatAccumulator* const (&words)[W]) {
     std::int64_t m[W];
+    std::int64_t f[W];
     double s[W];
     for (int l = 0; l < W; ++l) {
       m[l] = words[l]->mant_;
+      f[l] = words[l]->overflow_ ? -1 : 0;
       s[l] = words[l]->scale_;
     }
     mant = lanes_from<LaneInts<W>>(m);
-    overflow = LaneInts<W>{};
+    overflow = lanes_from<LaneInts<W>>(f);
     scale = lanes_from<Lanes<W>>(s);
   }
-  /// Lanes [0, n) back to *words[l].
+  /// Lanes [0, n) to *words[l]: the mantissa replaces the word's, the flag
+  /// is ORed into its flag.
   [[gnu::always_inline]] void store(BlockFloatAccumulator* const (&words)[W],
                                     int n) const {
     for (int l = 0; l < n; ++l) {
@@ -264,12 +272,28 @@ struct LaneAccumulator {
     const Lanes<W> scaled{x.v * scale.v};
     const Bits mag = __builtin_bit_cast(Bits, scaled.v) & 0x7fffffffffffffffU;
     const Ints ok = __builtin_bit_cast(typename Lanes<W>::Vec, mag) < 0x1p62;
-    const Bits q = __builtin_bit_cast(Bits, round_to_int64(scaled).v & ok);
+    add_word(__builtin_bit_cast(Bits, round_to_int64(scaled).v & ok));
+    overflow.v |= ~ok;
+  }
+
+  /// merge_word() on every lane: o's words (taken on the same exponents)
+  /// added exactly, a wrapping sum flagged with the mantissa kept, and
+  /// o's flags ORed in.
+  [[gnu::always_inline]] void merge(const LaneAccumulator& o) {
+    add_word(__builtin_bit_cast(typename LaneVectors<W>::Bits, o.mant.v));
+    overflow.v |= o.overflow.v;
+  }
+
+ private:
+  /// add_overflows() on every lane.
+  [[gnu::always_inline]] void add_word(const typename LaneVectors<W>::Bits& q) {
+    using Bits = typename LaneVectors<W>::Bits;
+    using Ints = typename LaneInts<W>::Vec;
     const Bits m = __builtin_bit_cast(Bits, mant.v);
     const Bits sum = m + q;
     const Ints wrapped = __builtin_bit_cast(Ints, (m ^ sum) & (q ^ sum)) < 0;
     mant.v = __builtin_bit_cast(Ints, sum - (q & __builtin_bit_cast(Bits, wrapped)));
-    overflow.v |= ~ok | wrapped;
+    overflow.v |= wrapped;
   }
 };
 

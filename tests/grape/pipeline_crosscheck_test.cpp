@@ -1,5 +1,6 @@
 // Pipeline crosscheck: the batched kernel every chip pass runs
-// (Chip::run_pass -> predict_batch + interact_block) must be BIT-IDENTICAL
+// (Chip::run_pass -> predict_batch + interact_module, a one-chip module;
+// module_crosscheck_test.cpp covers modules of several) must be BIT-IDENTICAL
 // to a reference pass built from the scalar PredictorUnit::predict and
 // ForcePipeline::interact on every observable hardware word — accumulator
 // mantissas, block exponents, overflow flags, neighbor FIFO contents and
